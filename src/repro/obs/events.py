@@ -55,7 +55,6 @@ __all__ = [
     "EVENT_SERVE_REQUEST",
     "EVENT_SERVE_EPOCH",
     "EVENT_SERVE_RETRY",
-    "EVENT_SERVE_SHED",
 ]
 
 #: Bumped whenever the reserved keys or the meaning of a kind changes.
@@ -87,7 +86,6 @@ EVENT_SPAN = "span"  # one closed tracer span; name in `phase`, tree in `span`/`
 EVENT_SERVE_REQUEST = "serve-request"  # one completed service request: op, status, served, queue_depth
 EVENT_SERVE_EPOCH = "serve-epoch"  # one committed epoch: mode=repair|recompute, rounds, mutations
 EVENT_SERVE_RETRY = "serve-retry"  # epoch retried after an engine failure
-EVENT_SERVE_SHED = "serve-shed"  # request shed with an explicit response (ladder bottom)
 
 #: Keys whose values come from a wall clock.  ``repro obs diff`` (and the
 #: determinism acceptance test) compare streams with these removed.

@@ -215,14 +215,6 @@ def summary_to_prometheus(
             summary.serve_retries,
             base,
         )
-        _metric(
-            lines,
-            f"{_PREFIX}_serve_shed_total",
-            "Requests shed with an explicit response.",
-            "counter",
-            summary.serve_shed,
-            base,
-        )
     if summary.phase_seconds:
         name = f"{_PREFIX}_phase_seconds_total"
         lines.append(f"# HELP {name} Wall-clock seconds per pipeline phase.")

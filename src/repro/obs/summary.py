@@ -31,7 +31,6 @@ from repro.obs.events import (
     EVENT_SERVE_EPOCH,
     EVENT_SERVE_REQUEST,
     EVENT_SERVE_RETRY,
-    EVENT_SERVE_SHED,
     EVENT_SPAN,
     EVENT_START_ROUND,
     EVENT_SWEEP_POINT,
@@ -89,14 +88,13 @@ class ObsSummary:
     span_counts: Dict[str, int] = field(default_factory=dict)
     #: Serving-layer aggregates from ``serve-*`` events: completed
     #: requests by final status, epochs by mode (repair vs recompute)
-    #: with their CONGEST-round costs, retries, and explicit sheds.
+    #: with their CONGEST-round costs, and retries.
     serve_requests: int = 0
     serve_status_counts: Dict[str, int] = field(default_factory=dict)
     serve_epochs: Dict[str, int] = field(default_factory=dict)
     serve_rounds: Dict[str, int] = field(default_factory=dict)
     serve_mutations: int = 0
     serve_retries: int = 0
-    serve_shed: int = 0
     by_kind: Dict[str, int] = field(default_factory=dict)
 
     def merge(self, other: "ObsSummary") -> None:
@@ -141,7 +139,6 @@ class ObsSummary:
             self.serve_rounds[mode] = self.serve_rounds.get(mode, 0) + rounds
         self.serve_mutations += other.serve_mutations
         self.serve_retries += other.serve_retries
-        self.serve_shed += other.serve_shed
         for kind, count in other.by_kind.items():
             self.by_kind[kind] = self.by_kind.get(kind, 0) + count
 
@@ -173,7 +170,6 @@ class ObsSummary:
             "serve_rounds": dict(sorted(self.serve_rounds.items())),
             "serve_mutations": self.serve_mutations,
             "serve_retries": self.serve_retries,
-            "serve_shed": self.serve_shed,
             "by_kind": dict(sorted(self.by_kind.items())),
         }
 
@@ -236,7 +232,7 @@ class ObsSummary:
             lines.append(
                 f"serve epochs:  {detail or 'none'}, "
                 f"{self.serve_mutations} mutations, "
-                f"{self.serve_retries} retries, {self.serve_shed} shed"
+                f"{self.serve_retries} retries"
             )
         if self.phase_seconds:
             lines.append("phase wall time:")
@@ -353,8 +349,6 @@ def summarize_events(records: Iterable[Dict[str, Any]]) -> ObsSummary:
             summary.serve_mutations += record.get("mutations", 0)
         elif kind == EVENT_SERVE_RETRY:
             summary.serve_retries += 1
-        elif kind == EVENT_SERVE_SHED:
-            summary.serve_shed += 1
         elif kind == EVENT_FAULT:
             fine_faults += 1
             name = record.get("fault", "?")

@@ -8,8 +8,9 @@ service with incremental repair under churn:
   Métivier pass) and automatic full-recompute fallback;
 * :mod:`repro.serve.server` — the protocol-agnostic asyncio core:
   bounded admission, deadlines with cooperative cancellation, keyed
-  retry backoff, mutation coalescing, result caching with
-  stale-while-revalidate, circuit breaking, health/readiness probes;
+  retry backoff, mutation coalescing, queries served from each
+  session's committed snapshot (stale under overload), circuit
+  breaking, health/readiness probes;
 * :mod:`repro.serve.errors` — the typed failure vocabulary;
 * :mod:`repro.serve.http` — a stdlib-only HTTP/JSON binding;
 * :mod:`repro.serve.loadgen` — a deterministic seeded load generator
@@ -25,7 +26,6 @@ from repro.serve.errors import (
     ServiceError,
     SessionExistsError,
     SessionNotFoundError,
-    ShedError,
 )
 from repro.serve.incremental import (
     EpochReport,
@@ -63,5 +63,4 @@ __all__ = [
     "SessionExistsError",
     "BadRequestError",
     "EngineFailure",
-    "ShedError",
 ]

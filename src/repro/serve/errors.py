@@ -11,9 +11,10 @@ caller as a structured failure response while the server keeps serving
 (a regression test pins this for a budget-exceeded MPC request).
 
 The hierarchy doubles as the degradation-ladder vocabulary
-(docs/serving.md): ``deadline-exceeded`` and ``engine-failed`` are the
-rungs where the service falls back to stale cache, ``queue-full`` and
-``shed`` are the explicit-backpressure rungs — a request is always
+(docs/serving.md): ``engine-failed`` (repeated, it opens the session's
+circuit) is where queries fall back to the session's committed snapshot
+served stale, and ``queue-full`` and ``circuit-open`` are the
+explicit-backpressure answers to mutations — a request is always
 answered, never silently dropped.
 """
 
@@ -32,7 +33,6 @@ __all__ = [
     "SessionExistsError",
     "BadRequestError",
     "EngineFailure",
-    "ShedError",
     "wrap_engine_error",
 ]
 
@@ -143,16 +143,6 @@ class EngineFailure(ServiceError):
         if self.cause_type is not None:
             out["cause"] = self.cause_type
         return out
-
-
-class ShedError(ServiceError):
-    """Bottom rung of the degradation ladder: the service is overloaded
-    or broken, no cached result exists, and the request is shed with an
-    explicit response rather than dropped."""
-
-    code = "shed"
-    retryable = True
-    http_status = 503
 
 
 def wrap_engine_error(exc: BaseException) -> EngineFailure:

@@ -21,7 +21,7 @@ Routes::
 
 Backpressure surfaces as HTTP semantics: ``429`` with a ``Retry-After``
 header at the admission watermark, ``504`` on deadline, ``503`` for
-circuit-open and shed.  Framing errors are answered and the connection
+circuit-open.  Framing errors are answered and the connection
 closed (never silently truncated, which would desync keep-alive):
 ``400`` for a malformed ``Content-Length``, ``413`` for a body over the
 8 MiB cap.
@@ -279,7 +279,6 @@ _STATUS_BY_CODE = {
     "session-exists": 409,
     "bad-request": 400,
     "engine-failed": 502,
-    "shed": 503,
 }
 
 _REASONS = {

@@ -138,7 +138,7 @@ class Mutation:
 
 
 def graph_fingerprint(graph: nx.Graph) -> str:
-    """Content hash of a graph: the cache key's graph component.
+    """Content hash of a graph: the ``fingerprint`` of every snapshot.
 
     Hashes the sorted node and edge lists, so isomorphic-but-relabeled
     graphs differ and mutation no-ops leave the fingerprint unchanged.
@@ -408,27 +408,6 @@ class GraphSession:
             self._fingerprint = graph_fingerprint(self.graph)
         return self._fingerprint
 
-    def cache_key(self) -> Tuple[str, int, str, int, str, str]:
-        """The result-cache key, scoped to one committed snapshot.
-
-        ``(session, epoch)`` pins the entry to this session's history:
-        the maintained MIS draws its coins from ``derive_seed(seed,
-        epoch)`` and snapshots embed session metadata (name, epoch,
-        repair counters), so entries are never shared across sessions —
-        a cross-session hit would leak another session's identity and
-        break same-seed determinism.  The determinism tuple
-        ``(fingerprint, seed, algorithm, engine)`` rides along so a key
-        can never alias two different graph contents or configurations.
-        """
-        return (
-            self.name,
-            self.epoch,
-            self.fingerprint,
-            self.seed,
-            self.algorithm,
-            self.engine or "scalar",
-        )
-
     # -- compute --------------------------------------------------------------
 
     def _recompute(self, should_abort: Optional[Callable[[], bool]]) -> int:
@@ -464,7 +443,7 @@ class GraphSession:
         when the damage fraction or the competition-iteration budget is
         exceeded.  The resulting MIS is validated with
         ``assert_valid_mis`` before the epoch commits — a serving layer
-        must never cache or return an invalid set.
+        must never commit or return an invalid set.
         """
         undo: List[Tuple] = []
         prev_mis = self.mis

@@ -12,7 +12,7 @@ The resilience kit, rung by rung (docs/serving.md):
 * **Bounded admission with explicit backpressure** — a global in-flight
   high watermark; beyond it mutation traffic is rejected with a
   ``queue-full`` error carrying ``retry_after_s``, and query traffic
-  falls through to the stale-cache rung.  Nothing queues unboundedly and
+  falls through to the stale rung.  Nothing queues unboundedly and
   nothing is dropped without a response.
 * **Per-request deadlines with cooperative cancellation** — every
   request carries a deadline; expired queued requests are answered
@@ -27,14 +27,15 @@ The resilience kit, rung by rung (docs/serving.md):
   session are drained into a single epoch: one repair pass serves the
   whole batch, which is what keeps repair cost a function of churn
   rather than request rate.
-* **Result caching with stale-while-revalidate** — committed snapshots
-  are cached per ``(session, epoch)`` alongside the determinism tuple
-  ``(graph fingerprint, seed, algorithm, engine)``; under overload or an
-  open breaker, queries are served the last committed snapshot marked
-  ``stale`` instead of being rejected.
+* **Committed snapshots** — each epoch builds its session's query body
+  on the executor, in the same call that ran it, and the commit stores
+  that one dict on the session's state.  A query answers with it and
+  never reads the graph, so a query that lands mid-epoch sees the last
+  committed epoch whole.  Under overload or an open breaker the same
+  snapshot is served marked ``stale`` instead of being rejected.
 * **Circuit breaking** — repeated engine failures open a per-session
-  breaker; compute is refused (stale/shed instead) until a reset window
-  elapses, then a half-open probe decides.
+  breaker; compute is refused (queries are served stale instead) until a
+  reset window elapses, then a half-open probe decides.
 * **Typed failures** — engine exceptions (including
   :class:`~repro.errors.CommBudgetExceededError` from the MPC runtime)
   are wrapped at the executor boundary into structured ``engine-failed``
@@ -50,7 +51,6 @@ import hashlib
 import os
 import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
@@ -65,7 +65,6 @@ from repro.serve.errors import (
     ServiceError,
     SessionExistsError,
     SessionNotFoundError,
-    ShedError,
     wrap_engine_error,
 )
 from repro.serve.incremental import (
@@ -81,7 +80,6 @@ __all__ = [
     "Response",
     "MISService",
     "CircuitBreaker",
-    "ResultCache",
     "ServeCounters",
 ]
 
@@ -90,7 +88,6 @@ from repro.obs.events import (  # noqa: E402
     EVENT_SERVE_EPOCH,
     EVENT_SERVE_REQUEST,
     EVENT_SERVE_RETRY,
-    EVENT_SERVE_SHED,
 )
 from repro.obs.trace import SPAN_SERVE_EPOCH  # noqa: E402
 
@@ -127,7 +124,6 @@ class ServeConfig:
     backoff_base: float = 0.02  # REPRO_SERVE_BACKOFF_BASE
     breaker_threshold: int = 3  # REPRO_SERVE_BREAKER_THRESHOLD
     breaker_reset_s: float = 5.0  # REPRO_SERVE_BREAKER_RESET
-    cache_entries: int = 256  # REPRO_SERVE_CACHE_ENTRIES
     repair_iteration_budget: int = 10_000  # REPRO_SERVE_REPAIR_BUDGET
     repair_damage_cap: float = 0.5  # REPRO_SERVE_DAMAGE_CAP
     coalesce_window_s: float = 0.0  # REPRO_SERVE_COALESCE_WINDOW
@@ -145,7 +141,6 @@ class ServeConfig:
                 env, "BREAKER_THRESHOLD", cls.breaker_threshold
             ),
             breaker_reset_s=_env_float(env, "BREAKER_RESET", cls.breaker_reset_s),
-            cache_entries=_env_int(env, "CACHE_ENTRIES", cls.cache_entries),
             repair_iteration_budget=_env_int(
                 env, "REPAIR_BUDGET", cls.repair_iteration_budget
             ),
@@ -176,7 +171,7 @@ class Response:
     """Every request gets exactly one of these — nothing is dropped."""
 
     ok: bool
-    status: str  # "ok" | "stale" | "rejected" | "deadline" | "shed" | "error"
+    status: str  # "ok" | "stale" | "rejected" | "deadline" | "error"
     served: Optional[str] = None  # "fresh" | "cache" | "stale-cache"
     result: Optional[Dict[str, Any]] = None
     error: Optional[Dict[str, Any]] = None
@@ -229,45 +224,14 @@ class CircuitBreaker:
             self.opened_at = self.clock()
 
 
-class ResultCache:
-    """Bounded LRU of committed snapshots.
-
-    Keys are ``(session, epoch, graph fingerprint, seed, algorithm,
-    engine)`` — one committed snapshot per session history point.
-    Entries are deliberately *not* shared across sessions: the
-    maintained MIS depends on the epoch history (epoch-derived coins)
-    and snapshots embed session metadata, so a cross-session hit would
-    answer with another session's identity.
-    """
-
-    def __init__(self, entries: int):
-        self.entries = max(1, entries)
-        self._store: "OrderedDict[Tuple, Dict[str, Any]]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, key: Tuple) -> Optional[Dict[str, Any]]:
-        entry = self._store.get(key)
-        if entry is None:
-            self.misses += 1
-            return None
-        self._store.move_to_end(key)
-        self.hits += 1
-        return entry
-
-    def put(self, key: Tuple, snapshot: Dict[str, Any]) -> None:
-        self._store[key] = snapshot
-        self._store.move_to_end(key)
-        while len(self._store) > self.entries:
-            self._store.popitem(last=False)
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-
 @dataclass
 class ServeCounters:
-    """Live service counters (rendered at ``/metrics``)."""
+    """Live service counters (rendered at ``/metrics``).
+
+    ``cache_hits`` counts queries answered from the committed snapshot.
+    ``shed`` is always 0, since every query has a committed snapshot to
+    fall back on; it stays because the benchmark's traced run reads it.
+    """
 
     requests: int = 0
     rejected: int = 0
@@ -320,15 +284,16 @@ class _MutationWaiter:
 class _SessionState:
     """Service-side wrapper: session + queue + worker + breaker.
 
-    Note there is deliberately no strong reference to the last snapshot:
-    stale serving reads the bounded :class:`ResultCache`, so memory for
-    overload protection is itself bounded — when the entry has been
-    evicted, the query is shed (explicitly) instead.
+    ``snapshot`` holds the query body of the last committed epoch.  It is
+    replaced only on the loop thread at commit, so queries read it
+    without touching the session, whose graph the executor may be
+    mutating.  It costs O(|MIS|) per session, less than the graph.
     """
 
     def __init__(self, session: GraphSession, breaker: CircuitBreaker):
         self.session = session
         self.breaker = breaker
+        self.snapshot: Dict[str, Any] = {}
         self.queue: "asyncio.Queue[_MutationWaiter]" = asyncio.Queue()
         self.worker: Optional[asyncio.Task] = None
         self.epoch_failures = 0
@@ -356,7 +321,6 @@ class MISService:
         self._compute_lock = threading.Lock()
         self.clock = clock
         self.sessions: Dict[str, _SessionState] = {}
-        self.cache = ResultCache(self.config.cache_entries)
         self.counters = ServeCounters()
         self.started_at = self.clock()
         self._inflight = 0
@@ -437,7 +401,6 @@ class MISService:
         status = {
             "queue-full": "rejected",
             "deadline-exceeded": "deadline",
-            "shed": "shed",
         }.get(exc.code, "error")
         return Response(ok=False, status=status, error=exc.to_dict())
 
@@ -458,8 +421,6 @@ class MISService:
         if response.error is not None:
             data["code"] = response.error.get("code")
         self.obs.emit(EVENT_SERVE_REQUEST, dur_s=dur_s, **data)
-        if response.status == "shed":
-            self.obs.emit(EVENT_SERVE_SHED, session=request.session or None)
 
     # -- deadline helpers -----------------------------------------------------
 
@@ -514,16 +475,21 @@ class MISService:
                 bootstrap = tuple(
                     Mutation("add-edge", u, v) for u, v in request.edges
                 )
-                deadline = self._deadline_of(request)
-                report = await self._run_epoch(state, [bootstrap], deadline)
-                self._commit(state, report)
+                report, snapshot = await self._run_epoch(
+                    state, bootstrap, [self._deadline_of(request)]
+                )
+                self._commit(state, report, snapshot)
+            else:
+                # Safe on the loop thread: no epoch can run before the
+                # session is registered below.
+                state.snapshot = session.snapshot()
             self.sessions[request.session] = state
             state.worker = asyncio.get_running_loop().create_task(
                 self._epoch_worker(request.session, state)
             )
-            snapshot = session.snapshot()
-            self.cache.put(session.cache_key(), snapshot)
-            return Response(ok=True, status="ok", served="fresh", result=snapshot)
+            return Response(
+                ok=True, status="ok", served="fresh", result=state.snapshot
+            )
         finally:
             self._inflight -= 1
 
@@ -546,35 +512,15 @@ class MISService:
 
     async def _handle_query(self, request: Request) -> Response:
         state = self._state(request.session)
-        key = state.session.cache_key()
-
-        # Overload / open breaker: stale-while-revalidate from the
-        # bounded cache, else shed (explicitly — never an unanswered
-        # request, never unbounded buffering).
+        # Overload / open breaker: the same committed snapshot, marked
+        # stale — the session may be unable to commit a newer one.
         if self.overloaded or not state.breaker.allow():
-            cached = self.cache.get(key)
-            if cached is not None:
-                self.counters.stale_served += 1
-                return Response(
-                    ok=True,
-                    status="stale",
-                    served="stale-cache",
-                    result=cached,
-                )
-            self.counters.shed += 1
-            raise ShedError(
-                "service overloaded and the cached snapshot was evicted",
-                retry_after_s=self.config.retry_after_s,
+            self.counters.stale_served += 1
+            return Response(
+                ok=True, status="stale", served="stale-cache", result=state.snapshot
             )
-
-        cached = self.cache.get(key)
-        if cached is not None:
-            self.counters.cache_hits += 1
-            return Response(ok=True, status="ok", served="cache", result=cached)
-
-        snapshot = state.session.snapshot()
-        self.cache.put(key, snapshot)
-        return Response(ok=True, status="ok", served="fresh", result=snapshot)
+        self.counters.cache_hits += 1
+        return Response(ok=True, status="ok", served="cache", result=state.snapshot)
 
     # -- mutations ------------------------------------------------------------
 
@@ -666,10 +612,10 @@ class MISService:
                 self._resolve(waiter, self._error_response(exc))
             return
 
-        mutations = [m for waiter in live for m in waiter.mutations]
+        mutations = tuple(m for waiter in live for m in waiter.mutations)
         deadlines = [w.deadline for w in live]
         try:
-            report = await self._run_epoch(state, [tuple(mutations)], deadlines)
+            report, snapshot = await self._run_epoch(state, mutations, deadlines)
         except ComputeAborted:
             response = self._error_response(
                 DeadlineExceededError(
@@ -694,8 +640,7 @@ class MISService:
             return
 
         state.breaker.record_success()
-        self._commit(state, report)
-        self.cache.put(state.session.cache_key(), state.session.snapshot())
+        self._commit(state, report, snapshot)
         response = Response(
             ok=True,
             status="ok",
@@ -718,7 +663,10 @@ class MISService:
         if not waiter.future.done():
             waiter.future.set_result(response)
 
-    def _commit(self, state: _SessionState, report: EpochReport) -> None:
+    def _commit(
+        self, state: _SessionState, report: EpochReport, snapshot: Dict[str, Any]
+    ) -> None:
+        state.snapshot = snapshot
         if report.mode == "repair":
             self.counters.epochs_repair += 1
             self.counters.repair_rounds += report.rounds
@@ -745,18 +693,18 @@ class MISService:
     async def _run_epoch(
         self,
         state: _SessionState,
-        mutation_batches: List[Tuple[Mutation, ...]],
-        deadlines,
-    ) -> EpochReport:
+        mutations: Tuple[Mutation, ...],
+        deadlines: List[Optional[float]],
+    ) -> Tuple[EpochReport, Dict[str, Any]]:
         """Run one epoch on the executor with retries and wrapping.
 
-        ``deadlines`` is either a single deadline (bootstrap path) or the
-        list of waiter deadlines; the abort callback fires only once
-        *every* live deadline has passed — cancelling a shared epoch
-        because one rider expired would punish the patient riders.
+        Returns the epoch's report and its committed snapshot, both built
+        on the executor thread so the loop never reads a graph that is
+        being mutated.  ``deadlines`` lists the waiters' deadlines; the
+        abort callback fires only once *every* one has passed —
+        cancelling a shared epoch because one rider expired would punish
+        the patient riders.
         """
-        if isinstance(deadlines, (int, float)) or deadlines is None:
-            deadlines = [deadlines]
 
         def should_abort() -> bool:
             now = self.clock()
@@ -771,14 +719,14 @@ class MISService:
             retries=self.config.retries,
             backoff_base=self.config.backoff_base,
         )
-        mutations = [m for batch in mutation_batches for m in batch]
 
-        def compute() -> EpochReport:
+        def compute() -> Tuple[EpochReport, Dict[str, Any]]:
             if self._inject_engine_failures > 0:
                 self._inject_engine_failures -= 1
                 raise ReproError("injected engine failure")
             if self.tracer is None:
-                return session.apply_epoch(mutations, should_abort=should_abort)
+                report = session.apply_epoch(mutations, should_abort=should_abort)
+                return report, session.snapshot()
             with self._compute_lock:
                 with self.tracer.span(SPAN_SERVE_EPOCH) as span:
                     report = session.apply_epoch(
@@ -789,7 +737,7 @@ class MISService:
                         mutations=report.mutations,
                         rounds=report.rounds,
                     )
-                    return report
+                    return report, session.snapshot()
 
         loop = asyncio.get_running_loop()
         attempt = 0
@@ -856,9 +804,9 @@ class MISService:
         c = self.counters
         metric("requests_total", "Requests accepted by the service.", "counter", c.requests)
         metric("rejected_total", "Requests rejected at admission (queue-full).", "counter", c.rejected)
-        metric("shed_total", "Requests shed with an explicit response.", "counter", c.shed)
-        metric("stale_served_total", "Queries served a stale cached snapshot.", "counter", c.stale_served)
-        metric("cache_hits_total", "Queries served from the result cache.", "counter", c.cache_hits)
+        metric("shed_total", "Requests shed with an explicit response (always 0).", "counter", c.shed)
+        metric("stale_served_total", "Queries served the committed snapshot marked stale.", "counter", c.stale_served)
+        metric("cache_hits_total", "Queries served the committed snapshot.", "counter", c.cache_hits)
         metric("deadline_exceeded_total", "Requests that ran out of deadline.", "counter", c.deadline_exceeded)
         metric("retries_total", "Epoch retries after engine failures.", "counter", c.retries)
         metric("engine_failures_total", "Engine exceptions wrapped as typed failures.", "counter", c.engine_failures)

@@ -250,24 +250,6 @@ class TestGraphSession:
             finals.append((session.mis, [r.rounds for r in reports]))
         assert finals[0] == finals[1]
 
-    def test_cache_key_scoped_to_session_and_epoch(self):
-        # Identical graph content and config must NOT share a key: the
-        # maintained MIS depends on the epoch history and snapshots
-        # embed session metadata, so a cross-session hit would leak
-        # another session's identity.
-        a = GraphSession("a", seed=0, graph=nx.path_graph(4))
-        b = GraphSession("b", seed=0)
-        b.apply_epoch([Mutation("add-edge", u, u + 1) for u in range(3)])
-        assert a.fingerprint == b.fingerprint
-        assert a.cache_key() != b.cache_key()
-        # Within one session the key moves with every committed epoch,
-        # and carries the content fingerprint.
-        before = b.cache_key()
-        b.apply_epoch([Mutation("add-edge", 0, 3)])
-        after = b.cache_key()
-        assert before != after
-        assert b.fingerprint in after
-
     def test_empty_graph_session(self):
         session = GraphSession("s", seed=0)
         report = session.apply_epoch([])

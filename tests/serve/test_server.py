@@ -1,8 +1,9 @@
 """Tests for :class:`repro.serve.server.MISService`.
 
 Every rung of the degradation ladder is exercised: incremental repair,
-recompute fallback, stale-cache serving under an open breaker, and an
-explicit shed once the cached snapshot has been evicted.  The breaker,
+recompute fallback, and the session's committed snapshot served stale
+under an open breaker, however many epochs other sessions commit.  A
+query that lands mid-epoch reads the last committed snapshot.  The breaker,
 deadline, retry, and typed-engine-failure paths are pinned too —
 including the regression that a budget-exceeded MPC request comes back
 as a structured ``engine-failed`` response while the service keeps
@@ -12,6 +13,7 @@ serving other sessions.
 from __future__ import annotations
 
 import asyncio
+import threading
 
 import pytest
 
@@ -20,13 +22,13 @@ from repro.mis.registry import register_algorithm, unregister_algorithm
 from repro.mpc.budget import CommBudget
 from repro.mpc.runtime import run_sharded
 from repro.serve import errors as serve_errors
+from repro.serve import incremental
 from repro.serve.http import _STATUS_BY_CODE
 from repro.serve.incremental import ComputeAborted, Mutation
 from repro.serve.server import (
     CircuitBreaker,
     MISService,
     Request,
-    ResultCache,
     ServeConfig,
     Response,
 )
@@ -115,20 +117,6 @@ class TestCircuitBreaker:
         assert breaker.state == "half-open"
         breaker.record_failure()
         assert breaker.state == "open"
-
-
-class TestResultCache:
-    def test_lru_eviction_is_bounded(self):
-        cache = ResultCache(entries=2)
-        cache.put(("a",), {"v": 1})
-        cache.put(("b",), {"v": 2})
-        assert cache.get(("a",)) == {"v": 1}  # refresh a
-        cache.put(("c",), {"v": 3})  # evicts b
-        assert len(cache) == 2
-        assert cache.get(("b",)) is None
-        assert cache.get(("a",)) is not None
-        assert cache.hits == 2
-        assert cache.misses == 1
 
 
 class TestSessionLifecycle:
@@ -247,7 +235,7 @@ class TestLadderRungs:
                 )
                 assert failed.error["code"] == "engine-failed"
                 assert service.sessions["s"].breaker.state == "open"
-                # Breaker open: query degrades to the cached snapshot.
+                # Breaker open: query degrades to the committed snapshot.
                 query = await service.submit(Request(op="query", session="s"))
                 assert query.ok
                 assert query.status == "stale"
@@ -261,23 +249,31 @@ class TestLadderRungs:
 
         run(scenario())
 
-    def test_rung_4_shed_when_snapshot_evicted(self):
+    def test_rung_3_survives_commits_on_other_sessions(self):
+        """A quiet session keeps its committed snapshot however many
+        epochs other sessions commit: with its breaker open, its query
+        degrades to that snapshot instead of being refused."""
         clock = FakeClock()
 
         async def scenario():
             service = make_service(
-                clock,
-                breaker_threshold=1,
-                breaker_reset_s=1000.0,
-                cache_entries=1,
+                clock, breaker_threshold=1, breaker_reset_s=1000.0
             )
             try:
-                await create_session(service, "a")
-                # A second session's snapshot evicts a's from the
-                # single-entry cache.
+                created = await create_session(service, "a")
                 await create_session(
                     service, "b", edges=tuple((u, u + 2) for u in range(8))
                 )
+                for i in range(300):
+                    op = "add-edge" if i % 2 == 0 else "remove-edge"
+                    committed = await service.submit(
+                        Request(
+                            op="mutate",
+                            session="b",
+                            mutations=(Mutation(op, 0, 9),),
+                        )
+                    )
+                    assert committed.ok
                 service.inject_engine_failure(1)
                 failed = await service.submit(
                     Request(
@@ -287,15 +283,18 @@ class TestLadderRungs:
                     )
                 )
                 assert failed.error["code"] == "engine-failed"
-                shed = await service.submit(Request(op="query", session="a"))
-                assert not shed.ok
-                assert shed.status == "shed"
-                assert shed.error["code"] == "shed"
-                assert "retry_after_s" in shed.error
-                assert service.counters.shed == 1
+                assert service.sessions["a"].breaker.state == "open"
+                query = await service.submit(Request(op="query", session="a"))
+                assert query.ok
+                assert query.status == "stale"
+                assert query.served == "stale-cache"
+                assert query.result == created.result
+                assert service.counters.stale_served == 1
+                assert service.counters.shed == 0
                 # The healthy session is untouched by a's degradation.
                 healthy = await service.submit(Request(op="query", session="b"))
-                assert healthy.ok and healthy.status in ("ok", "stale")
+                assert healthy.ok and healthy.status == "ok"
+                assert healthy.result["epoch"] == 301
             finally:
                 await service.close()
 
@@ -620,7 +619,7 @@ class TestWorkerResilience:
 class TestCacheIsolation:
     def test_identical_content_sessions_do_not_share_snapshots(self):
         """Two sessions with the same graph, seed, algorithm, and
-        engine must never serve each other's snapshots — the cached
+        engine must never serve each other's snapshots — the committed
         body embeds the session's name, epoch, and repair counters."""
 
         async def scenario():
@@ -634,6 +633,74 @@ class TestCacheIsolation:
                 assert qa.result["session"] == "a"
                 assert qb.result["session"] == "b"
             finally:
+                await service.close()
+
+        run(scenario())
+
+
+class TestCommittedSnapshot:
+    def test_query_mid_epoch_reads_last_committed_snapshot(self, monkeypatch):
+        """A query that lands while an epoch is mutating the graph on the
+        executor answers with the last committed snapshot, untorn, and
+        never hashes the graph on the event-loop thread."""
+        entered = threading.Event()
+        release = threading.Event()
+        real_repair = incremental.update_repair
+        real_fingerprint = incremental.graph_fingerprint
+        fingerprint_threads = []
+
+        def blocking_repair(*args, **kwargs):
+            entered.set()
+            release.wait(timeout=30)
+            return real_repair(*args, **kwargs)
+
+        def recording_fingerprint(graph):
+            fingerprint_threads.append(threading.get_ident())
+            return real_fingerprint(graph)
+
+        monkeypatch.setattr(incremental, "graph_fingerprint", recording_fingerprint)
+
+        async def scenario():
+            loop_thread = threading.get_ident()
+            service = make_service()
+            try:
+                created = await create_session(service)
+                committed = created.result
+                monkeypatch.setattr(incremental, "update_repair", blocking_repair)
+                mutate = asyncio.ensure_future(
+                    service.submit(
+                        Request(
+                            op="mutate",
+                            session="s",
+                            mutations=(Mutation("add-edge", 0, 5),),
+                        )
+                    )
+                )
+                for _ in range(3000):
+                    if entered.is_set():
+                        break
+                    await asyncio.sleep(0.01)
+                assert entered.is_set(), "the epoch never reached the repair"
+
+                query = await service.submit(Request(op="query", session="s"))
+                assert query.ok and query.status == "ok"
+                fields = ("epoch", "fingerprint", "mis", "edges")
+                assert [query.result[f] for f in fields] == [
+                    committed[f] for f in fields
+                ]
+                assert loop_thread not in fingerprint_threads
+
+                release.set()
+                mutated = await asyncio.wait_for(mutate, timeout=30)
+                assert mutated.ok
+                assert mutated.result["epoch"] == committed["epoch"] + 1
+                after = await service.submit(Request(op="query", session="s"))
+                assert after.result["epoch"] == mutated.result["epoch"]
+                assert after.result["fingerprint"] == mutated.result["fingerprint"]
+                assert after.result["edges"] == committed["edges"] + 1
+                assert loop_thread not in fingerprint_threads
+            finally:
+                release.set()
                 await service.close()
 
         run(scenario())
@@ -742,7 +809,6 @@ class TestHttpStatusMapping:
             serve_errors.SessionExistsError,
             serve_errors.BadRequestError,
             serve_errors.EngineFailure,
-            serve_errors.ShedError,
         ]
         assert {cls.code for cls in classes} == set(_STATUS_BY_CODE)
         for cls in classes:
