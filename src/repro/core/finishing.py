@@ -26,14 +26,14 @@ returning.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Set
+from typing import Callable, Dict, Optional, Set
 
 import networkx as nx
 
 from repro.core.bounded_arb import BoundedArbResult
 from repro.core.parameters import Parameters, ROUNDS_PER_ITERATION
 from repro.deterministic.small_components import ComponentFinishReport, finish_components
-from repro.mis.engine import active_adjacency, competition_winners, eliminate_winners
+from repro.mis.engine import competition_winners, run_competition
 from repro.mis.validation import assert_valid_mis
 from repro.rng import priority_draw
 
@@ -66,28 +66,27 @@ def restricted_metivier_mis(
     seed: int,
     tag: int,
     max_iterations: int = 10_000,
+    checkpoint: Optional[Callable[[int], None]] = None,
 ) -> tuple:
     """Métivier competition on G[nodes], with ``blocked`` nodes unable to
     join (they are already dominated by earlier stages) and absent from
     the competition graph entirely.
 
+    ``checkpoint(iteration)``, when given, runs at the start of every
+    iteration and may raise to stop the competition (the serving layer's
+    cooperative cancellation).
+
     Returns (independent set, iterations used).
     """
-    eligible = nodes - blocked
-    subgraph = graph.subgraph(eligible)
-    adjacency = active_adjacency(subgraph)
-    active = set(eligible)
-    selected: Set[int] = set()
-    iteration = 0
-    while active and iteration < max_iterations:
-        keys = {
-            v: (priority_draw(seed, v, iteration, tag=tag), v) for v in active
-        }
-        winners = competition_winners(active, adjacency, keys)
-        selected |= winners
-        eliminate_winners(active, adjacency, winners)
-        iteration += 1
-    return selected, iteration
+
+    def step(iteration, active, adjacency):
+        if checkpoint is not None:
+            checkpoint(iteration)
+        keys = {v: (priority_draw(seed, v, iteration, tag=tag), v) for v in active}
+        return competition_winners(active, adjacency, keys)
+
+    run = run_competition(graph.subgraph(nodes - blocked), step, max_iterations)
+    return run.mis, run.iterations
 
 
 def _restricted_linial_mis(

@@ -28,8 +28,7 @@ which is what powers the n = 10⁷ rows of E16/E17 without ever building a
 
 from __future__ import annotations
 
-import math
-from typing import Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 import networkx as nx
 import numpy as np
@@ -50,7 +49,7 @@ from repro.mis.engine import MISResult
 
 # The rng tags are the algorithm definitions' — shared with the scalar and
 # CONGEST engines so all three draw from identical streams.
-from repro.mis.ghaffari import _MARK_TAG, _MIN_EXPONENT
+from repro.mis.ghaffari import _MARK_TAG, _MIN_EXPONENT, shatter_iteration
 from repro.mis.luby import _LUBY_B_TAG
 from repro.obs.trace import (
     SPAN_BULK_ITERATION,
@@ -95,23 +94,80 @@ def csr_adjacency(graph: nx.Graph) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return node_ids, csr.indptr, csr.indices
 
 
-def _empty_result(algorithm: str, seed: int) -> MISResult:
-    return MISResult(mis=set(), iterations=0, algorithm=algorithm, seed=seed)
+#: One bulk iteration: ``step(iteration, active, kernel)`` returns the
+#: winner mask.  ``kernel(name)`` closes the step's open kernel span and
+#: opens ``name`` (a no-op when tracing is off).
+BulkStep = Callable[[int, np.ndarray, Callable[[str], None]], np.ndarray]
 
 
-def _package(
+def _run_bulk(
     csr: CSRGraph,
-    in_mis: np.ndarray,
-    iteration: int,
     algorithm: str,
     seed: int,
-    history,
-    active: np.ndarray,
-    extra=None,
+    max_iterations: int,
+    tracer,
+    step: BulkStep,
+    require_progress: bool,
+    extra: Optional[Callable[[List[int]], Dict[str, Any]]] = None,
 ) -> MISResult:
-    payload = {"completed": not bool(active.any())}
-    if extra:
-        payload.update(extra)
+    """The bulk competition loop shared by the four engines.
+
+    Owns the iteration spans, ``active_history``, winner absorption and
+    elimination, and the partial-result contract (``extra["completed"]``
+    is False when ``max_iterations`` ran out).  With ``require_progress``
+    an iteration without a winner raises
+    :class:`~repro.errors.AlgorithmError` — for the priority processes the
+    maximum active key always wins, so that is an engine bug, never a
+    silent non-maximal set.  ``extra(history)`` adds algorithm-specific
+    result fields.
+    """
+    n = csr.n
+    if n == 0:
+        return MISResult(mis=set(), iterations=0, algorithm=algorithm, seed=seed)
+
+    active = np.ones(n, dtype=bool)
+    in_mis = np.zeros(n, dtype=bool)
+    history: List[int] = []
+    iteration = 0
+    kernel_span = None
+
+    def kernel(name: Optional[str]) -> None:
+        nonlocal kernel_span
+        if tracer is None:
+            return
+        if kernel_span is not None:
+            tracer.end(kernel_span)
+        kernel_span = None if name is None else tracer.begin(name, round=iteration)
+
+    run_span = tracer.begin(SPAN_RUN) if tracer is not None else None
+    while active.any() and iteration < max_iterations:
+        history.append(int(active.sum()))
+        it_span = (
+            tracer.begin(SPAN_BULK_ITERATION, round=iteration)
+            if tracer is not None
+            else None
+        )
+        winners = step(iteration, active, kernel)
+        kernel(None)
+        if require_progress and not winners.any():
+            raise AlgorithmError(
+                f"{algorithm} made no progress with nodes still active "
+                f"(iteration {iteration}) — engine invariant violated"
+            )
+        kernel(SPAN_KERNEL_ELIMINATE)
+        in_mis |= winners
+        eliminate_winners_bulk(csr, active, winners)
+        if tracer is not None:
+            tracer.end(kernel_span, winners=int(winners.sum()))
+            kernel_span = None
+            tracer.end(it_span, active=history[-1])
+        iteration += 1
+
+    if tracer is not None:
+        tracer.end(run_span, iterations=iteration)
+    payload: Dict[str, Any] = {"completed": not bool(active.any())}
+    if extra is not None:
+        payload.update(extra(history))
     return MISResult(
         mis=csr.label_set(in_mis),
         iterations=iteration,
@@ -143,61 +199,25 @@ def metivier_mis_bulk(
     silently returning a non-maximal set.
     """
     csr = _as_csr(graph)
-    n = csr.n
-    if n == 0:
-        return _empty_result("metivier-bulk", seed)
 
-    active = np.ones(n, dtype=bool)
-    in_mis = np.zeros(n, dtype=bool)
-    history = []
-
-    run_span = tracer.begin(SPAN_RUN) if tracer is not None else None
-    iteration = 0
-    while active.any() and iteration < max_iterations:
-        history.append(int(active.sum()))
-        it_span = (
-            tracer.begin(SPAN_BULK_ITERATION, round=iteration)
-            if tracer is not None
-            else None
-        )
-        k_span = (
-            tracer.begin(SPAN_KERNEL_DRAW, round=iteration)
-            if tracer is not None
-            else None
-        )
+    def step(iteration, active, kernel):
+        kernel(SPAN_KERNEL_DRAW)
         priorities = keyed_priorities(csr, seed, iteration)
         # Inactive nodes play 0 so they never beat anyone; a genuine zero
         # priority is routed through the exact fallback.
         masked = np.where(active, priorities, np.uint64(0))
-        if tracer is not None:
-            tracer.end(k_span)
-            k_span = tracer.begin(SPAN_KERNEL_COMPETE, round=iteration)
-        winners = masked_competition(
+        kernel(SPAN_KERNEL_COMPETE)
+        return masked_competition(
             csr,
             contenders=active,
             keys=masked,
             blockers=active,
             exact_key=lambda i: (int(masked[i]), csr.tiebreak_id(i)),
         )
-        if tracer is not None:
-            tracer.end(k_span)
-        if not winners.any():
-            raise AlgorithmError(
-                "metivier-bulk made no progress with nodes still active "
-                f"(iteration {iteration}) — engine invariant violated"
-            )
-        if tracer is not None:
-            k_span = tracer.begin(SPAN_KERNEL_ELIMINATE, round=iteration)
-        in_mis |= winners
-        eliminate_winners_bulk(csr, active, winners)
-        if tracer is not None:
-            tracer.end(k_span, winners=int(winners.sum()))
-            tracer.end(it_span, active=history[-1])
-        iteration += 1
 
-    if tracer is not None:
-        tracer.end(run_span, iterations=iteration)
-    return _package(csr, in_mis, iteration, "metivier-bulk", seed, history, active)
+    return _run_bulk(
+        csr, "metivier-bulk", seed, max_iterations, tracer, step, require_progress=True
+    )
 
 
 def luby_a_mis_bulk(
@@ -215,65 +235,29 @@ def luby_a_mis_bulk(
     range is n⁴) fall back to the exact ``(priority, id)`` rule.
     """
     csr = _as_csr(graph)
-    n = csr.n
-    if n == 0:
-        return _empty_result("luby-a-bulk", seed)
-
-    range_size = max(1, n) ** 4
+    range_size = max(1, csr.n) ** 4
     small_range = range_size < _UINT64_CARDINALITY
-    active = np.ones(n, dtype=bool)
-    in_mis = np.zeros(n, dtype=bool)
-    history = []
 
-    run_span = tracer.begin(SPAN_RUN) if tracer is not None else None
-    iteration = 0
-    while active.any() and iteration < max_iterations:
-        history.append(int(active.sum()))
-        it_span = (
-            tracer.begin(SPAN_BULK_ITERATION, round=iteration)
-            if tracer is not None
-            else None
-        )
-        k_span = (
-            tracer.begin(SPAN_KERNEL_DRAW, round=iteration)
-            if tracer is not None
-            else None
-        )
+    def step(iteration, active, kernel):
+        kernel(SPAN_KERNEL_DRAW)
         raw = keyed_priorities(csr, seed, iteration)
         if small_range:
             keys = np.mod(raw, np.uint64(range_size)) + np.uint64(1)
         else:
             keys = raw  # same order as 1 + raw, and 1 + raw == scalar
         masked = np.where(active, keys, np.uint64(0))
-        if tracer is not None:
-            tracer.end(k_span)
-            k_span = tracer.begin(SPAN_KERNEL_COMPETE, round=iteration)
-        winners = masked_competition(
+        kernel(SPAN_KERNEL_COMPETE)
+        return masked_competition(
             csr,
             contenders=active,
             keys=masked,
             blockers=active,
             exact_key=lambda i: (1 + int(raw[i]) % range_size, csr.tiebreak_id(i)),
         )
-        if tracer is not None:
-            tracer.end(k_span)
-        if not winners.any():
-            raise AlgorithmError(
-                "luby-a-bulk made no progress with nodes still active "
-                f"(iteration {iteration}) — engine invariant violated"
-            )
-        if tracer is not None:
-            k_span = tracer.begin(SPAN_KERNEL_ELIMINATE, round=iteration)
-        in_mis |= winners
-        eliminate_winners_bulk(csr, active, winners)
-        if tracer is not None:
-            tracer.end(k_span, winners=int(winners.sum()))
-            tracer.end(it_span, active=history[-1])
-        iteration += 1
 
-    if tracer is not None:
-        tracer.end(run_span, iterations=iteration)
-    return _package(csr, in_mis, iteration, "luby-a-bulk", seed, history, active)
+    return _run_bulk(
+        csr, "luby-a-bulk", seed, max_iterations, tracer, step, require_progress=True
+    )
 
 
 def luby_b_mis_bulk(
@@ -297,47 +281,24 @@ def luby_b_mis_bulk(
     """
     csr = _as_csr(graph)
     n = csr.n
-    if n == 0:
-        return _empty_result("luby-b-bulk", seed)
-
     positions = np.arange(n, dtype=np.uint64)
-    active = np.ones(n, dtype=bool)
-    in_mis = np.zeros(n, dtype=bool)
-    history = []
 
-    run_span = tracer.begin(SPAN_RUN) if tracer is not None else None
-    iteration = 0
-    while active.any() and iteration < max_iterations:
-        history.append(int(active.sum()))
-        it_span = (
-            tracer.begin(SPAN_BULK_ITERATION, round=iteration)
-            if tracer is not None
-            else None
-        )
-        k_span = (
-            tracer.begin(SPAN_KERNEL_DEGREES, round=iteration)
-            if tracer is not None
-            else None
-        )
+    def step(iteration, active, kernel):
+        kernel(SPAN_KERNEL_DEGREES)
         degrees = neighbor_count(active, csr)
         degrees[~active] = 0
-        if tracer is not None:
-            tracer.end(k_span)
-            k_span = tracer.begin(SPAN_KERNEL_DRAW, round=iteration)
+        kernel(SPAN_KERNEL_DRAW)
         uniforms = keyed_uniforms(csr, seed, iteration, tag=_LUBY_B_TAG)
         # Scalar coin: p = 1/(2d), or certainty when the active degree is 0.
         thresholds = 1.0 / (2.0 * np.maximum(degrees, 1).astype(np.float64))
         marked = active & ((degrees == 0) | (uniforms < thresholds))
-        if tracer is not None:
-            tracer.end(k_span)
-            k_span = tracer.begin(SPAN_KERNEL_COMPETE, round=iteration)
-
+        kernel(SPAN_KERNEL_COMPETE)
         keys = np.where(
             marked,
             degrees.astype(np.uint64) * np.uint64(n) + positions + np.uint64(1),
             np.uint64(0),
         )
-        winners = masked_competition(
+        return masked_competition(
             csr,
             contenders=marked,
             keys=keys,
@@ -348,19 +309,10 @@ def luby_b_mis_bulk(
                 else (0, 0, csr.tiebreak_id(i))
             ),
         )
-        if tracer is not None:
-            tracer.end(k_span)
-            k_span = tracer.begin(SPAN_KERNEL_ELIMINATE, round=iteration)
-        in_mis |= winners
-        eliminate_winners_bulk(csr, active, winners)
-        if tracer is not None:
-            tracer.end(k_span, winners=int(winners.sum()))
-            tracer.end(it_span, active=history[-1])
-        iteration += 1
 
-    if tracer is not None:
-        tracer.end(run_span, iterations=iteration)
-    return _package(csr, in_mis, iteration, "luby-b-bulk", seed, history, active)
+    return _run_bulk(
+        csr, "luby-b-bulk", seed, max_iterations, tracer, step, require_progress=False
+    )
 
 
 def ghaffari_mis_bulk(
@@ -378,47 +330,17 @@ def ghaffari_mis_bulk(
     docs/columnar_substrate.md for why this matches the scalar engine.
     """
     csr = _as_csr(graph)
-    n = csr.n
-    if n == 0:
-        return _empty_result("ghaffari-bulk", seed)
+    exponents = np.ones(csr.n, dtype=np.int64)
 
-    active = np.ones(n, dtype=bool)
-    in_mis = np.zeros(n, dtype=bool)
-    exponents = np.ones(n, dtype=np.int64)
-    history = []
-    n_floor = max(2, n)
-    shatter_threshold = n_floor / max(1.0, math.log(n_floor) ** 2)
-    shatter_iteration = None
-
-    run_span = tracer.begin(SPAN_RUN) if tracer is not None else None
-    iteration = 0
-    while active.any() and iteration < max_iterations:
-        active_count = int(active.sum())
-        history.append(active_count)
-        if shatter_iteration is None and active_count <= shatter_threshold:
-            shatter_iteration = iteration
-
-        it_span = (
-            tracer.begin(SPAN_BULK_ITERATION, round=iteration)
-            if tracer is not None
-            else None
-        )
-        k_span = (
-            tracer.begin(SPAN_KERNEL_DRAW, round=iteration)
-            if tracer is not None
-            else None
-        )
+    def step(iteration, active, kernel):
+        nonlocal exponents
+        kernel(SPAN_KERNEL_DRAW)
         desires = np.ldexp(1.0, -exponents.astype(np.int32))  # exact 2^-j
         uniforms = keyed_uniforms(csr, seed, iteration, tag=_MARK_TAG)
         marked = active & (uniforms < desires)
-        if tracer is not None:
-            tracer.end(k_span)
-            k_span = tracer.begin(SPAN_KERNEL_COMPETE, round=iteration)
+        kernel(SPAN_KERNEL_COMPETE)
         winners = marked & ~neighbor_any(marked, csr)
-        if tracer is not None:
-            tracer.end(k_span)
-            k_span = tracer.begin(SPAN_KERNEL_DEGREES, round=iteration)
-
+        kernel(SPAN_KERNEL_DEGREES)
         # Desire update against the pre-elimination neighborhood, as in
         # the paper: d_t(v) sums this iteration's p values.
         effective = neighbor_sum(np.where(active, desires, 0.0), csr)
@@ -427,26 +349,17 @@ def ghaffari_mis_bulk(
         exponents = np.where(
             active, np.where(effective >= 2.0, raised, lowered), exponents
         )
-        if tracer is not None:
-            tracer.end(k_span)
-            k_span = tracer.begin(SPAN_KERNEL_ELIMINATE, round=iteration)
+        return winners
 
-        in_mis |= winners
-        eliminate_winners_bulk(csr, active, winners)
-        if tracer is not None:
-            tracer.end(k_span, winners=int(winners.sum()))
-            tracer.end(it_span, active=active_count)
-        iteration += 1
-
-    if tracer is not None:
-        tracer.end(run_span, iterations=iteration)
-    return _package(
+    return _run_bulk(
         csr,
-        in_mis,
-        iteration,
         "ghaffari-bulk",
         seed,
-        history,
-        active,
-        extra={"iterations_to_shatter": shatter_iteration},
+        max_iterations,
+        tracer,
+        step,
+        require_progress=False,
+        extra=lambda history: {
+            "iterations_to_shatter": shatter_iteration(history, csr.n)
+        },
     )

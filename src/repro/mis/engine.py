@@ -10,6 +10,9 @@ leave the graph.  This module holds the pieces they share:
 * :func:`active_adjacency` — mutable adjacency for the fast engines;
 * :func:`competition_winners` / :func:`eliminate_winners` — one iteration
   of the competition process;
+* :func:`run_competition` — the scalar loop that repeats that iteration
+  until no node is active or the budget runs out; each algorithm supplies
+  only its per-iteration winner rule;
 * :class:`PhasedMISNodeProgram` — the CONGEST skeleton implementing the
   3-round iteration structure (priorities → join announcements → leave
   announcements) that Luby A, Métivier, Ghaffari and the paper's algorithm
@@ -23,7 +26,7 @@ astronomically unlikely 64-bit priority collision.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 import networkx as nx
 
@@ -35,6 +38,8 @@ __all__ = [
     "active_adjacency",
     "competition_winners",
     "eliminate_winners",
+    "CompetitionRun",
+    "run_competition",
     "PhasedMISNodeProgram",
     "PHASE_KEYS",
     "PHASE_DECIDE",
@@ -122,6 +127,59 @@ def eliminate_winners(
             adjacency[u].discard(gone)
         adjacency[gone] = set()
     return removed
+
+
+#: One competition iteration: ``step(iteration, active, adjacency)``
+#: returns the winners; :func:`run_competition` removes them and their
+#: neighbours.
+CompetitionStep = Callable[[int, Set[int], Dict[int, Set[int]]], Set[int]]
+
+
+@dataclass
+class CompetitionRun:
+    """What :func:`run_competition` produced."""
+
+    mis: Set[int]
+    iterations: int
+    #: Nodes still active when the loop stopped (empty iff it completed).
+    active: Set[int]
+    #: Active-node count at the start of each iteration.
+    history: List[int]
+
+    def result(self, algorithm: str, seed: int, **extra: Any) -> MISResult:
+        """Package as an :class:`MISResult` with ``extra["completed"]``."""
+        return MISResult(
+            mis=self.mis,
+            iterations=self.iterations,
+            algorithm=algorithm,
+            seed=seed,
+            active_history=self.history,
+            extra={"completed": not self.active, **extra},
+        )
+
+
+def run_competition(
+    graph: nx.Graph, step: CompetitionStep, max_iterations: int
+) -> CompetitionRun:
+    """The scalar competition loop over every node of ``graph``.
+
+    Each iteration records the active count, asks ``step`` for the
+    winners, adds them to the MIS and eliminates them with their active
+    neighbours, until no node is active or ``max_iterations`` iterations
+    have run.  ``step`` may raise to stop the run early.
+    """
+    adjacency = active_adjacency(graph)
+    active: Set[int] = set(graph.nodes())
+    mis: Set[int] = set()
+    history: List[int] = []
+    iteration = 0
+    while active and iteration < max_iterations:
+        history.append(len(active))
+        winners = step(iteration, active, adjacency)
+        mis |= winners
+        eliminate_winners(active, adjacency, winners)
+        iteration += 1
+    return CompetitionRun(mis, iteration, active, history)
 
 
 class PhasedMISNodeProgram(NodeAlgorithm):

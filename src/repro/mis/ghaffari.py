@@ -27,7 +27,7 @@ count first dropped below ``n / log²n`` for the E12 analysis.
 from __future__ import annotations
 
 import math
-from typing import Dict, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import networkx as nx
 
@@ -37,13 +37,12 @@ from repro.congest.simulator import SynchronousSimulator
 from repro.mis.engine import (
     MISResult,
     PhasedMISNodeProgram,
-    active_adjacency,
-    eliminate_winners,
     mis_from_outputs,
+    run_competition,
 )
 from repro.rng import uniform_draw
 
-__all__ = ["ghaffari_mis", "GhaffariMIS", "ghaffari_mis_congest"]
+__all__ = ["ghaffari_mis", "GhaffariMIS", "ghaffari_mis_congest", "shatter_iteration"]
 
 _MARK_TAG = 23  # rng tag for the marking coin
 _MIN_EXPONENT = 60  # floor for p = 2^-j, keeps exponents bounded
@@ -54,55 +53,45 @@ def _marked(seed: int, node: int, iteration: int, exponent: int) -> bool:
     return uniform_draw(seed, node, iteration, tag=_MARK_TAG) < 2.0**-exponent
 
 
+def shatter_iteration(history: List[int], n: int) -> Optional[int]:
+    """First iteration whose active count is at most ``n / log²n``.
+
+    ``history`` is the per-iteration active count (``active_history``);
+    None when the run never got that far.
+    """
+    n = max(2, n)
+    threshold = n / max(1.0, math.log(n) ** 2)
+    return next((i for i, count in enumerate(history) if count <= threshold), None)
+
+
 def ghaffari_mis(graph: nx.Graph, seed: int = 0, max_iterations: int = 20_000) -> MISResult:
     """Fast engine for Ghaffari's algorithm (exponent representation)."""
-    adjacency = active_adjacency(graph)
-    active: Set[int] = set(graph.nodes())
     exponents: Dict[int, int] = {v: 1 for v in graph.nodes()}  # p = 2^-1
-    mis: Set[int] = set()
-    history = []
-    n = max(2, graph.number_of_nodes())
-    shatter_threshold = n / max(1.0, math.log(n) ** 2)
-    shatter_iteration = None
 
-    iteration = 0
-    while active and iteration < max_iterations:
-        history.append(len(active))
-        if shatter_iteration is None and len(active) <= shatter_threshold:
-            shatter_iteration = iteration
-
+    def step(iteration, active, adjacency):
         marked = {v for v in active if _marked(seed, v, iteration, exponents[v])}
         winners = {
             v for v in marked if not any(u in marked for u in adjacency[v] if u in active)
         }
-
         # Desire update uses the *pre-elimination* neighborhood, as in the
         # paper: d_t(v) is computed from this iteration's p values.
-        new_exponents = dict(exponents)
+        updated = {}
         for v in active:
             effective_degree = sum(
                 2.0 ** -exponents[u] for u in adjacency[v] if u in active
             )
             if effective_degree >= 2.0:
-                new_exponents[v] = min(_MIN_EXPONENT, exponents[v] + 1)
+                updated[v] = min(_MIN_EXPONENT, exponents[v] + 1)
             else:
-                new_exponents[v] = max(1, exponents[v] - 1)
-        exponents = new_exponents
+                updated[v] = max(1, exponents[v] - 1)
+        exponents.update(updated)
+        return winners
 
-        mis |= winners
-        eliminate_winners(active, adjacency, winners)
-        iteration += 1
-
-    return MISResult(
-        mis=mis,
-        iterations=iteration,
-        algorithm="ghaffari",
-        seed=seed,
-        active_history=history,
-        extra={
-            "completed": not active,
-            "iterations_to_shatter": shatter_iteration,
-        },
+    run = run_competition(graph, step, max_iterations)
+    return run.result(
+        "ghaffari",
+        seed,
+        iterations_to_shatter=shatter_iteration(run.history, graph.number_of_nodes()),
     )
 
 

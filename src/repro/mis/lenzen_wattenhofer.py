@@ -24,18 +24,12 @@ quantities Lenzen & Wattenhofer's analysis bounds.
 from __future__ import annotations
 
 import math
-from typing import Optional, Set
 
 import networkx as nx
 
 from repro.deterministic.small_components import finish_components
 from repro.errors import GraphError
-from repro.mis.engine import (
-    MISResult,
-    active_adjacency,
-    competition_winners,
-    eliminate_winners,
-)
+from repro.mis.engine import MISResult, competition_winners, run_competition
 from repro.rng import priority_draw
 
 __all__ = ["lenzen_wattenhofer_tree_mis", "shattering_length"]
@@ -72,20 +66,13 @@ def lenzen_wattenhofer_tree_mis(
     if validate_forest and graph.number_of_nodes() > 0 and not nx.is_forest(graph):
         raise GraphError("lenzen_wattenhofer_tree_mis expects a forest")
 
-    adjacency = active_adjacency(graph)
-    active: Set[int] = set(graph.nodes())
-    mis: Set[int] = set()
-    history = []
+    def step(iteration, active, adjacency):
+        keys = {v: (priority_draw(seed, v, iteration, tag=_LW_TAG), v) for v in active}
+        return competition_winners(active, adjacency, keys)
 
     phase1_budget = shattering_length(graph.number_of_nodes(), constant)
-    iteration = 0
-    while active and iteration < phase1_budget:
-        history.append(len(active))
-        keys = {v: (priority_draw(seed, v, iteration, tag=_LW_TAG), v) for v in active}
-        winners = competition_winners(active, adjacency, keys)
-        mis |= winners
-        eliminate_winners(active, adjacency, winners)
-        iteration += 1
+    phase1 = run_competition(graph, step, phase1_budget)
+    mis, active = phase1.mis, phase1.active
 
     residual_after_phase1 = len(active)
     component_report = None
@@ -107,10 +94,10 @@ def lenzen_wattenhofer_tree_mis(
 
     return MISResult(
         mis=mis,
-        iterations=iteration,
+        iterations=phase1.iterations,
         algorithm="lenzen-wattenhofer",
         seed=seed,
-        active_history=history,
+        active_history=phase1.history,
         extra={
             "phase1_budget": phase1_budget,
             "residual_after_phase1": residual_after_phase1,

@@ -19,7 +19,7 @@ algorithm in :mod:`repro.mis`.
 
 from __future__ import annotations
 
-from typing import Dict, Set, Tuple
+from typing import Tuple
 
 import networkx as nx
 
@@ -29,10 +29,9 @@ from repro.congest.simulator import SynchronousSimulator
 from repro.mis.engine import (
     MISResult,
     PhasedMISNodeProgram,
-    active_adjacency,
     competition_winners,
-    eliminate_winners,
     mis_from_outputs,
+    run_competition,
 )
 from repro.rng import priority_draw, uniform_draw
 
@@ -57,28 +56,12 @@ def _luby_a_priority(seed: int, node: int, iteration: int, n: int) -> int:
 def luby_a_mis(graph: nx.Graph, seed: int = 0, max_iterations: int = 10_000) -> MISResult:
     """Fast engine for Luby's Algorithm A."""
     n = graph.number_of_nodes()
-    adjacency = active_adjacency(graph)
-    active: Set[int] = set(graph.nodes())
-    mis: Set[int] = set()
-    history = []
 
-    iteration = 0
-    while active and iteration < max_iterations:
-        history.append(len(active))
+    def step(iteration, active, adjacency):
         keys = {v: (_luby_a_priority(seed, v, iteration, n), v) for v in active}
-        winners = competition_winners(active, adjacency, keys)
-        mis |= winners
-        eliminate_winners(active, adjacency, winners)
-        iteration += 1
+        return competition_winners(active, adjacency, keys)
 
-    return MISResult(
-        mis=mis,
-        iterations=iteration,
-        algorithm="luby-a",
-        seed=seed,
-        active_history=history,
-        extra={"completed": not active},
-    )
+    return run_competition(graph, step, max_iterations).result("luby-a", seed)
 
 
 class LubyAMIS(PhasedMISNodeProgram):
@@ -120,37 +103,16 @@ def luby_b_mis(graph: nx.Graph, seed: int = 0, max_iterations: int = 10_000) -> 
     iff its key beats every active neighbor's key, which reproduces Luby's
     rule "unmark if a marked neighbor has larger (degree, id)" exactly.
     """
-    adjacency = active_adjacency(graph)
-    active: Set[int] = set(graph.nodes())
-    mis: Set[int] = set()
-    history = []
 
-    iteration = 0
-    while active and iteration < max_iterations:
-        history.append(len(active))
+    def step(iteration, active, adjacency):
         degrees = {v: sum(1 for u in adjacency[v] if u in active) for v in active}
         marked = {
             v for v in active if _luby_b_marked(seed, v, iteration, degrees[v])
         }
-        keys: Dict[int, Tuple] = {}
-        for v in active:
-            if v in marked:
-                keys[v] = (1, degrees[v], v)
-            else:
-                keys[v] = (0, 0, v)
-        winners = competition_winners(active, adjacency, keys, eligible=marked)
-        mis |= winners
-        eliminate_winners(active, adjacency, winners)
-        iteration += 1
+        keys = {v: (1, degrees[v], v) if v in marked else (0, 0, v) for v in active}
+        return competition_winners(active, adjacency, keys, eligible=marked)
 
-    return MISResult(
-        mis=mis,
-        iterations=iteration,
-        algorithm="luby-b",
-        seed=seed,
-        active_history=history,
-        extra={"completed": not active},
-    )
+    return run_competition(graph, step, max_iterations).result("luby-b", seed)
 
 
 class LubyBMIS(PhasedMISNodeProgram):

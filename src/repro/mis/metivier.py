@@ -17,7 +17,7 @@ Two engines (DESIGN.md §4): :func:`metivier_mis` (fast) and
 
 from __future__ import annotations
 
-from typing import Optional, Set, Tuple
+from typing import Tuple
 
 import networkx as nx
 
@@ -27,10 +27,9 @@ from repro.congest.simulator import SynchronousSimulator
 from repro.mis.engine import (
     MISResult,
     PhasedMISNodeProgram,
-    active_adjacency,
     competition_winners,
-    eliminate_winners,
     mis_from_outputs,
+    run_competition,
 )
 from repro.rng import priority_draw
 
@@ -48,28 +47,12 @@ def metivier_mis(
     exchanges (each costs 3 CONGEST rounds; the CONGEST engine reports the
     exact round count).
     """
-    adjacency = active_adjacency(graph)
-    active: Set[int] = set(graph.nodes())
-    mis: Set[int] = set()
-    history = []
 
-    iteration = 0
-    while active and iteration < max_iterations:
-        history.append(len(active))
+    def step(iteration, active, adjacency):
         keys = {v: (priority_draw(seed, v, iteration), v) for v in active}
-        winners = competition_winners(active, adjacency, keys)
-        mis |= winners
-        eliminate_winners(active, adjacency, winners)
-        iteration += 1
+        return competition_winners(active, adjacency, keys)
 
-    return MISResult(
-        mis=mis,
-        iterations=iteration,
-        algorithm="metivier",
-        seed=seed,
-        active_history=history,
-        extra={"completed": not active},
-    )
+    return run_competition(graph, step, max_iterations).result("metivier", seed)
 
 
 class MetivierMIS(PhasedMISNodeProgram):

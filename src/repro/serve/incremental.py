@@ -13,8 +13,12 @@ recovered by
    withdraws — followed by
 2. a **restricted Métivier competition** over the nodes left
    undominated (eviction fallout, nodes whose dominator was deleted,
-   fresh nodes), identical in structure to the crash-repair pass of
-   :mod:`repro.core.repair` (PR 4) but driven by *update* faults.
+   fresh nodes).
+
+Both steps are the crash repair's own code — the eviction round is
+:func:`repro.core.repair.evict_conflicts` and the competition is
+:func:`repro.core.finishing.restricted_metivier_mis` — called on a
+dedicated tag and driven by *update* faults instead of crashes.
 
 Costs are reported in honest CONGEST rounds: one eviction round when an
 eviction happened plus ``ROUNDS_PER_ITERATION`` per competition
@@ -42,16 +46,13 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tupl
 
 import networkx as nx
 
+from repro.core.finishing import restricted_metivier_mis
 from repro.core.parameters import ROUNDS_PER_ITERATION
+from repro.core.repair import evict_conflicts
 from repro.errors import ReproError
-from repro.mis.engine import (
-    active_adjacency,
-    competition_winners,
-    eliminate_winners,
-)
 from repro.mis.validation import assert_valid_mis
 from repro.obs.trace import SPAN_SERVE_RECOMPUTE, SPAN_SERVE_REPAIR
-from repro.rng import derive_seed, priority_draw
+from repro.rng import derive_seed
 from repro.serve.errors import BadRequestError
 
 __all__ = [
@@ -248,10 +249,14 @@ def update_repair(
 
     Generalizes :func:`repro.core.repair.repair` from crash faults to
     update faults: only the damaged neighborhood is inspected, so the
-    cost scales with the churn, not the graph.  Raises
-    :class:`RepairBudgetExceeded` when the competition would exceed
-    ``max_iterations`` and :class:`ComputeAborted` when ``should_abort``
-    fires between iterations (cooperative cancellation).
+    cost scales with the churn, not the graph.  The eviction round is
+    :func:`repro.core.repair.evict_conflicts` and the re-cover pass is
+    :func:`repro.core.finishing.restricted_metivier_mis`, both on this
+    module's own tag and the epoch's seed.  Raises
+    :class:`RepairBudgetExceeded` when nodes are still active after
+    ``max_iterations`` competition iterations, and
+    :class:`ComputeAborted` when ``should_abort`` fires before the pass or
+    at the start of an iteration (cooperative cancellation).
     """
     epoch_seed = derive_seed(seed, epoch)
     members = {v for v in mis if graph.has_node(v)}
@@ -273,22 +278,14 @@ def update_repair(
 
     # Eviction round: only an inserted edge can make two members
     # adjacent, and both its endpoints are damaged, so scanning damaged
-    # members finds every conflict.  The lower keyed priority withdraws.
+    # members finds every conflict.
     violating: List[Tuple[int, int]] = []
     for v in sorted(members & damaged):
         for u in graph.neighbors(v):
             if u in members and (u > v or u not in damaged):
                 violating.append((v, u))
-    evicted: Set[int] = set()
-    if violating:
-        priority = {
-            v: (priority_draw(epoch_seed, v, 0, tag=_UPDATE_TAG), v)
-            for edge in violating
-            for v in edge
-        }
-        for u, v in violating:
-            evicted.add(u if priority[u] < priority[v] else v)
-        members -= evicted
+    evicted = evict_conflicts(violating, epoch_seed, _UPDATE_TAG)
+    members -= evicted
 
     # Undominated region: domination can only have changed for damaged
     # nodes and the neighbors of evicted members.
@@ -302,40 +299,37 @@ def update_repair(
         if not any(u in members for u in graph.neighbors(v))
     }
 
-    # Restricted Métivier competition over the uncovered region.  This
-    # is the same loop as repro.core.finishing.restricted_metivier_mis,
-    # inlined to thread the abort callback and the iteration budget
-    # through (cooperative cancellation reaches the engine loop).
-    adjacency = active_adjacency(graph.subgraph(uncovered))
-    active = set(uncovered)
-    added: Set[int] = set()
-    iteration = 0
-    while active:
+    def checkpoint(iteration: int) -> None:
         if should_abort is not None and should_abort():
-            raise ComputeAborted(
-                f"update repair aborted at iteration {iteration}"
-            )
-        if iteration >= max_iterations:
+            raise ComputeAborted(f"update repair aborted at iteration {iteration}")
+
+    added, iterations = restricted_metivier_mis(
+        graph,
+        uncovered,
+        blocked=set(),
+        seed=epoch_seed,
+        tag=_UPDATE_TAG,
+        max_iterations=max_iterations,
+        checkpoint=checkpoint,
+    )
+    if iterations == max_iterations:
+        # The competition stopped on its budget; nodes that neither joined
+        # nor neighbour a new member were still active.
+        covered = added.union(*(graph.adj[v] for v in added))
+        still_active = uncovered - covered
+        if still_active:
             raise RepairBudgetExceeded(
                 f"update repair exceeded {max_iterations} iteration(s) "
-                f"with {len(active)} node(s) still active"
+                f"with {len(still_active)} node(s) still active"
             )
-        keys = {
-            v: (priority_draw(epoch_seed, v, iteration, tag=_UPDATE_TAG), v)
-            for v in active
-        }
-        winners = competition_winners(active, adjacency, keys)
-        added |= winners
-        eliminate_winners(active, adjacency, winners)
-        iteration += 1
 
     return UpdateRepairReport(
         mis=frozenset(members | added),
         evicted=frozenset(evicted),
         added=frozenset(added),
         repair_rounds=(1 if violating else 0)
-        + ROUNDS_PER_ITERATION * iteration,
-        iterations=iteration,
+        + ROUNDS_PER_ITERATION * iterations,
+        iterations=iterations,
         damaged=len(damaged),
     )
 

@@ -17,8 +17,11 @@ The resilience kit, rung by rung (docs/serving.md):
 * **Per-request deadlines with cooperative cancellation** — every
   request carries a deadline; expired queued requests are answered
   without running, and a running epoch whose waiters have all expired is
-  aborted between engine iterations (the abort callback threads into
-  :func:`repro.serve.incremental.update_repair`'s competition loop).
+  aborted between engine iterations (:func:`repro.serve.incremental.update_repair`
+  checks the abort callback at the start of every iteration of the shared
+  :func:`repro.core.finishing.restricted_metivier_mis` competition).
+  A malformed ``deadline_s`` is refused as a bad request before
+  admission.
 * **Retry with keyed-jitter backoff** — transient engine failures are
   retried with the exact deterministic backoff arithmetic of the sweep
   runner's :class:`~repro.analysis.runner.FailurePolicy`, keyed by
@@ -48,6 +51,7 @@ from __future__ import annotations
 
 import asyncio
 import hashlib
+import math
 import os
 import threading
 import time
@@ -425,11 +429,22 @@ class MISService:
     # -- deadline helpers -----------------------------------------------------
 
     def _deadline_of(self, request: Request) -> Optional[float]:
-        deadline_s = (
-            request.deadline_s
-            if request.deadline_s is not None
-            else self.config.default_deadline_s
-        )
+        """Absolute deadline of ``request``; None when it has none.
+
+        Called before admission, so a malformed ``deadline_s`` is refused
+        as a bad request without taking an in-flight slot.
+        """
+        deadline_s = request.deadline_s
+        if deadline_s is None:
+            deadline_s = self.config.default_deadline_s
+        elif (
+            isinstance(deadline_s, bool)
+            or not isinstance(deadline_s, (int, float))
+            or not math.isfinite(deadline_s)
+        ):
+            raise BadRequestError(
+                f"deadline_s must be a finite number of seconds, got {deadline_s!r}"
+            )
         if deadline_s is None or deadline_s <= 0:
             return None
         return self.clock() + deadline_s
@@ -449,6 +464,7 @@ class MISService:
             raise SessionExistsError(
                 f"session {request.session!r} already exists"
             )
+        deadline = self._deadline_of(request)
         self._admit()
         try:
             session = GraphSession(
@@ -476,7 +492,7 @@ class MISService:
                     Mutation("add-edge", u, v) for u, v in request.edges
                 )
                 report, snapshot = await self._run_epoch(
-                    state, bootstrap, [self._deadline_of(request)]
+                    state, bootstrap, [deadline]
                 )
                 self._commit(state, report, snapshot)
             else:
@@ -534,8 +550,8 @@ class MISService:
                 f"{state.breaker.failures} engine failure(s)",
                 retry_after_s=self.config.breaker_reset_s,
             )
-        self._admit()
         deadline = self._deadline_of(request)
+        self._admit()
         future: "asyncio.Future[Response]" = (
             asyncio.get_running_loop().create_future()
         )

@@ -10,10 +10,13 @@ in the module docstring of :mod:`repro.congest.message`).
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.congest.message import Message, bits_of_payload
+
+pytestmark = pytest.mark.property
 
 # -- strategies --------------------------------------------------------------
 

@@ -13,11 +13,14 @@ from __future__ import annotations
 
 import keyword
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.lint import lint_source
 from repro.lint.config import PUBLIC_CONTEXT_SURFACE, LintConfig
+
+pytestmark = pytest.mark.property
 
 CFG = LintConfig(determinism_packages=("*",))
 

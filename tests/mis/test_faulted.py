@@ -27,6 +27,8 @@ from repro.obs.session import ObsSession, SimulatorObserver
 from repro.obs.sinks import MemorySink
 from repro.obs.summary import diff_streams
 
+pytestmark = pytest.mark.property
+
 ENGINES = available_node_programs()
 
 

@@ -13,11 +13,14 @@ from __future__ import annotations
 
 import networkx as nx
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graphs.csr import csr_from_edges, csr_from_graph
 from repro.mpc import partition_csr, reassemble
+
+pytestmark = pytest.mark.property
 
 # A random graph as (n, edge endpoint pairs); duplicates and self-loops
 # are allowed because csr_from_edges dedups them, which is exactly the

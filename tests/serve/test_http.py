@@ -210,6 +210,33 @@ class TestErrorStatuses:
 
         run_with_frontend(scenario)
 
+    def test_non_numeric_deadline_is_400_and_leaks_no_slot(self):
+        def scenario(port, service):
+            request(port, "POST", "/v1/sessions", {"name": "s"})
+            # More malformed requests than the queue holds: a leaked
+            # in-flight slot per request would fill it.
+            for _ in range(service.config.queue_limit + 1):
+                status, body, _ = request(
+                    port,
+                    "POST",
+                    "/v1/sessions/s/mutations",
+                    {
+                        "mutations": [{"op": "add-edge", "u": 0, "v": 5}],
+                        "deadline_s": "5",
+                    },
+                )
+                assert status == 400 and body["error"]["code"] == "bad-request"
+            assert service.queue_depth == 0
+            status, body, _ = request(
+                port,
+                "POST",
+                "/v1/sessions/s/mutations",
+                {"mutations": [{"op": "add-edge", "u": 0, "v": 5}]},
+            )
+            assert status == 200 and body["ok"]
+
+        run_with_frontend(scenario)
+
     def test_queue_full_carries_retry_after(self):
         def scenario(port, service):
             request(port, "POST", "/v1/sessions", {"name": "s"})

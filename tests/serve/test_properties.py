@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import asyncio
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.mis.validation import assert_valid_mis
@@ -24,6 +25,8 @@ from repro.obs.summary import diff_streams
 from repro.serve.incremental import GraphSession, Mutation
 from repro.serve.loadgen import LoadGenConfig, drive
 from repro.serve.server import MISService, ServeConfig
+
+pytestmark = pytest.mark.property
 
 _NODES = 12
 

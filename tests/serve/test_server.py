@@ -396,6 +396,48 @@ class TestDeadlines:
         run(scenario())
 
 
+    def test_malformed_deadline_is_a_bad_request_and_frees_no_slot(self):
+        async def scenario():
+            service = make_service(queue_limit=2)
+            try:
+                await create_session(service)
+                for bad in ("5", True, float("nan"), float("inf"), [1]):
+                    response = await service.submit(
+                        Request(
+                            op="mutate",
+                            session="s",
+                            mutations=(Mutation("add-edge", 0, 5),),
+                            deadline_s=bad,
+                        )
+                    )
+                    assert response.status == "error", bad
+                    assert response.error["code"] == "bad-request", bad
+                    assert service.queue_depth == 0, bad
+                response = await service.submit(
+                    Request(op="create", session="t", deadline_s="5")
+                )
+                assert response.error["code"] == "bad-request"
+                assert "t" not in service.sessions
+                # No slot leaked: well-formed traffic is still admitted
+                # and queries are served fresh, not stale.
+                response = await service.submit(
+                    Request(
+                        op="mutate",
+                        session="s",
+                        mutations=(Mutation("add-edge", 0, 5),),
+                        deadline_s=5,
+                    )
+                )
+                assert response.ok, response
+                response = await service.submit(Request(op="query", session="s"))
+                assert response.status == "ok"
+                assert service.counters.rejected == 0
+            finally:
+                await service.close()
+
+        run(scenario())
+
+
 class TestRetries:
     def test_transient_failure_retried_to_success(self):
         async def scenario():

@@ -28,6 +28,8 @@ from repro.mis.validation import assert_valid_mis, is_independent_set
 from repro.readk.bounds import read_k_conjunction_bound, read_k_lower_tail_form2
 from repro.readk.family import shared_parent_family
 
+pytestmark = pytest.mark.property
+
 # -- graph strategies --------------------------------------------------------
 
 
