@@ -8,15 +8,20 @@ in columnar form, a fixed recipe over a :class:`~repro.graphs.csr.CSRGraph`:
    twins of ``repro.rng.priority_draw`` / ``uniform_draw``);
 2. reduce over neighborhoods (:func:`neighbor_max`, :func:`neighbor_sum`,
    :func:`neighbor_count`, :func:`neighbor_any` — CSR segment reductions);
-3. pick winners (:func:`masked_competition` — vectorized strict-local-max
-   with an exact scalar fallback for the ≤ n²/2⁶⁴ degenerate draws);
+3. pick winners (:func:`masked_competition` — the global
+   :func:`degenerate_draw` check, then the vectorized
+   :func:`strict_local_max` fast path or, on the ≤ n²/2⁶⁴ degenerate
+   draws, the exact scalar rule :func:`exact_competition`);
 4. eliminate winners and their neighbors (:func:`eliminate_winners_bulk` —
    an O(m) scatter, no per-winner Python loop).
 
-The bulk algorithms in :mod:`repro.mis.bulk` and :mod:`repro.core.bulk`
-are thin compositions of these kernels; adding a new bulk algorithm means
-writing only its key/marking rule (docs/columnar_substrate.md walks
-through one).
+The reductions and draws run over a :class:`RowView` as well as over a
+whole :class:`~repro.graphs.csr.CSRGraph`: a view is some rows of the
+adjacency over a column index space, which is how an MPC shard runs the
+same kernels on its own rows.  The bulk algorithms in
+:mod:`repro.mis.bulk` and :mod:`repro.core.bulk` are thin compositions of
+these kernels; adding a new bulk algorithm means writing only its
+key/marking rule (docs/columnar_substrate.md walks through one).
 
 Everything here is a pure function of its arguments — no wall clocks, no
 global state — so the substrate inherits the determinism contract the
@@ -25,7 +30,8 @@ lint enforces for the scalar engines.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -34,6 +40,7 @@ from repro.graphs.csr import CSRGraph
 from repro.rng import priority_array
 
 __all__ = [
+    "RowView",
     "segment_max",
     "segment_sum",
     "neighbor_max",
@@ -43,10 +50,53 @@ __all__ = [
     "spread_to_neighbors",
     "keyed_priorities",
     "keyed_uniforms",
+    "degenerate_draw",
+    "strict_local_max",
+    "exact_competition",
     "masked_competition",
     "eliminate_winners_bulk",
     "validate_mis_csr",
 ]
+
+
+# -- row views ---------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class RowView:
+    """Some rows of a graph's adjacency, over a column index space.
+
+    ``indptr`` and ``indices`` are the rows' adjacency, with neighbors as
+    column indices; ``key_ids`` is each column's keyed-randomness
+    identity; ``n`` counts the whole graph's nodes; ``rows`` places the
+    rows among the columns.  Per-node arrays passed to the kernels are
+    indexed by column, and results come back for the rows.
+    :meth:`whole` views the whole graph (``graph``), where rows are the
+    columns — the bulk engines.  An MPC shard views its own rows over its
+    ``support`` (own positions plus ghosts, in global order).
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    key_ids: np.ndarray
+    n: int
+    rows: slice
+    support: Optional[np.ndarray] = None
+    graph: Optional[CSRGraph] = None
+
+    @classmethod
+    def whole(cls, csr: CSRGraph) -> "RowView":
+        return cls(csr.indptr, csr.indices, csr.key_ids, csr.n, slice(None), graph=csr)
+
+    def positions(self) -> np.ndarray:
+        """Global position of each column."""
+        if self.support is None:
+            return np.arange(self.n, dtype=np.int64)
+        return self.support
+
+
+#: Anything the neighborhood kernels reduce over (``indptr``/``indices``).
+Adjacency = Union[CSRGraph, RowView]
 
 
 # -- segment reductions ------------------------------------------------------
@@ -91,22 +141,22 @@ def segment_sum(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     return result
 
 
-def neighbor_max(values: np.ndarray, csr: CSRGraph) -> np.ndarray:
+def neighbor_max(values: np.ndarray, csr: Adjacency) -> np.ndarray:
     """Per-node maximum of ``values`` over its neighbors (0 if none)."""
     return segment_max(values[csr.indices], csr.indptr)
 
 
-def neighbor_sum(values: np.ndarray, csr: CSRGraph) -> np.ndarray:
+def neighbor_sum(values: np.ndarray, csr: Adjacency) -> np.ndarray:
     """Per-node sum of ``values`` over its neighbors (0 if none)."""
     return segment_sum(values[csr.indices], csr.indptr)
 
 
-def neighbor_count(mask: np.ndarray, csr: CSRGraph) -> np.ndarray:
+def neighbor_count(mask: np.ndarray, csr: Adjacency) -> np.ndarray:
     """Per-node count of flagged neighbors."""
     return segment_sum(mask[csr.indices].astype(np.int64), csr.indptr)
 
 
-def neighbor_any(mask: np.ndarray, csr: CSRGraph) -> np.ndarray:
+def neighbor_any(mask: np.ndarray, csr: Adjacency) -> np.ndarray:
     """Per-node boolean: does any neighbor carry the flag?"""
     return neighbor_max(mask.astype(np.uint8), csr).astype(bool)
 
@@ -124,9 +174,9 @@ def spread_to_neighbors(mask: np.ndarray, csr: CSRGraph) -> np.ndarray:
 
 
 def keyed_priorities(
-    csr: CSRGraph, seed: int, iteration: int, tag: int = 0
+    csr: Adjacency, seed: int, iteration: int, tag: int = 0
 ) -> np.ndarray:
-    """All nodes' 64-bit priorities for one iteration, in position order.
+    """All nodes' 64-bit priorities for one iteration, in column order.
 
     Bit-identical to ``priority_draw(seed, label, iteration, tag)`` per
     node on integer-labeled graphs (``key_ids`` holds the labels).
@@ -135,7 +185,7 @@ def keyed_priorities(
 
 
 def keyed_uniforms(
-    csr: CSRGraph, seed: int, iteration: int, tag: int = 0
+    csr: Adjacency, seed: int, iteration: int, tag: int = 0
 ) -> np.ndarray:
     """All nodes' uniform [0, 1) draws, bit-identical to ``uniform_draw``.
 
@@ -150,39 +200,42 @@ def keyed_uniforms(
 # -- competition step --------------------------------------------------------
 
 
-def masked_competition(
-    csr: CSRGraph,
+def degenerate_draw(keys: np.ndarray, contenders: np.ndarray) -> bool:
+    """Does this draw need the exact rule: a zero or repeated contender key?
+
+    The check is global — two contenders anywhere holding equal keys make
+    the draw degenerate — so it runs over the whole graph, never a shard.
+    For hash-drawn keys it holds with probability ≤ n²/2⁶⁴ per iteration;
+    id-embedding encodings never trigger it.
+    """
+    values = keys[contenders]
+    return bool((values == 0).any()) or len(np.unique(values)) != values.size
+
+
+def strict_local_max(
     contenders: np.ndarray,
     keys: np.ndarray,
-    blockers: Optional[np.ndarray] = None,
-    exact_key: Optional[Callable[[int], Tuple]] = None,
+    adjacency: Adjacency,
+    rows: slice = slice(None),
 ) -> np.ndarray:
-    """Winners of one competition step: contenders beating every neighbor.
+    """The fast path: contenders among ``rows`` whose key strictly exceeds
+    every neighbor's.  Exact whenever the draw is not degenerate."""
+    return contenders[rows] & (keys[rows] > neighbor_max(keys, adjacency))
 
-    ``keys`` is a uint64 array where every non-participant holds 0 and
-    participants hold a value whose numeric order equals their scalar key
-    order.  The fast path declares a contender a winner iff its key
-    strictly exceeds the neighborhood maximum; it is taken whenever the
-    contender keys are unique and nonzero, which holds with probability
-    ≥ 1 - n²/2⁶⁴ per iteration for hash-drawn keys (and always for
-    id-embedding encodings).
 
-    On a degenerate draw the exact scalar rule runs instead: ``exact_key``
-    maps a position to the full comparison tuple (ending in the tiebreak
-    id, so keys are unique) and ``blockers`` (default: contenders) marks
-    the nodes whose keys can dominate a neighbor.  This reproduces the
-    scalar engines' ``(priority, id)`` comparison bit for bit.
+def exact_competition(
+    csr: CSRGraph,
+    contenders: np.ndarray,
+    blockers: np.ndarray,
+    exact_key: Callable[[int], Tuple],
+) -> np.ndarray:
+    """The exact scalar rule, for degenerate draws.
+
+    ``exact_key`` maps a position to the full comparison tuple (ending in
+    the tiebreak id, so keys are unique); a contender wins iff its tuple
+    beats every neighboring blocker's.  This reproduces the scalar
+    engines' ``(priority, id)`` comparison bit for bit.
     """
-    if blockers is None:
-        blockers = contenders
-    contender_values = keys[contenders]
-    degenerate = bool((contender_values == 0).any()) or (
-        len(np.unique(contender_values)) != int(contenders.sum())
-    )
-    if not degenerate:
-        return contenders & (keys > neighbor_max(keys, csr))
-    if exact_key is None:
-        raise ValueError("degenerate keys need an exact_key fallback")
     winners = np.zeros(csr.n, dtype=bool)
     indptr, indices = csr.indptr, csr.indices
     for i in np.nonzero(contenders)[0]:
@@ -194,6 +247,31 @@ def masked_competition(
                 break
         winners[i] = beats_all
     return winners
+
+
+def masked_competition(
+    csr: CSRGraph,
+    contenders: np.ndarray,
+    keys: np.ndarray,
+    blockers: Optional[np.ndarray] = None,
+    exact_key: Optional[Callable[[int], Tuple]] = None,
+) -> np.ndarray:
+    """Winners of one competition step: contenders beating every neighbor.
+
+    ``keys`` is a uint64 array where every non-participant holds 0 and
+    participants hold a value whose numeric order equals their scalar key
+    order.  A non-degenerate draw takes :func:`strict_local_max`; a
+    degenerate one runs :func:`exact_competition` with ``exact_key`` and
+    ``blockers`` (default: contenders — the nodes whose keys can dominate
+    a neighbor).
+    """
+    if blockers is None:
+        blockers = contenders
+    if not degenerate_draw(keys, contenders):
+        return strict_local_max(contenders, keys, csr)
+    if exact_key is None:
+        raise ValueError("degenerate keys need an exact_key fallback")
+    return exact_competition(csr, contenders, blockers, exact_key)
 
 
 def eliminate_winners_bulk(

@@ -51,23 +51,13 @@ def unregister_algorithm(name: str) -> None:
 
 def _bootstrap() -> None:
     from repro.core.arb_mis import arb_mis
-    from repro.mis.bulk import (
-        ghaffari_mis_bulk,
-        luby_a_mis_bulk,
-        luby_b_mis_bulk,
-        metivier_mis_bulk,
-    )
+    from repro.mis import bulk
     from repro.mis.ghaffari import ghaffari_mis
     from repro.mis.lenzen_wattenhofer import lenzen_wattenhofer_tree_mis
     from repro.mis.luby import luby_a_mis, luby_b_mis
     from repro.mis.metivier import metivier_mis
     from repro.mis.tree import tree_mis
-    from repro.mpc.engines import (
-        ghaffari_mis_mpc,
-        luby_a_mis_mpc,
-        luby_b_mis_mpc,
-        metivier_mis_mpc,
-    )
+    from repro.mpc import engines as mpc
 
     defaults: Dict[str, AlgorithmFn] = {
         "luby-a": luby_a_mis,
@@ -77,14 +67,9 @@ def _bootstrap() -> None:
         "tree-independent-set": tree_mis,
         "lenzen-wattenhofer": lenzen_wattenhofer_tree_mis,
         "arb-mis": arb_mis,
-        "luby-a-bulk": luby_a_mis_bulk,
-        "luby-b-bulk": luby_b_mis_bulk,
-        "metivier-bulk": metivier_mis_bulk,
-        "ghaffari-bulk": ghaffari_mis_bulk,
-        "luby-a-mpc": luby_a_mis_mpc,
-        "luby-b-mpc": luby_b_mis_mpc,
-        "metivier-mpc": metivier_mis_mpc,
-        "ghaffari-mpc": ghaffari_mis_mpc,
+        # One definition per columnar algorithm yields both array engines.
+        **bulk.ENGINES,
+        **mpc.ENGINES,
     }
     for name, fn in defaults.items():
         if name not in _REGISTRY:

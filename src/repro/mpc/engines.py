@@ -1,6 +1,7 @@
-"""Registry-facing wrappers: the four ``<name>-mpc`` MIS engines.
+"""Registry-facing entry points: the ``<name>-mpc`` MIS engines.
 
-Each wrapper has the same call shape as its scalar and bulk twins
+One engine per definition in :data:`repro.mis.bulk.ALGORITHMS`, with the
+same call shape as its scalar and bulk twins
 (``fn(graph, seed=0, max_iterations=...)``) so it can slot into
 :mod:`repro.mis.registry`, sweeps, and the CLI unchanged, while passing
 the sharded runtime's extra knobs (``shards``, ``workers``, ``budget``,
@@ -12,10 +13,14 @@ how ``REPRO_MIS_ENGINE`` selects the engine itself.
 
 from __future__ import annotations
 
+from typing import Callable, Dict
+
+from repro.mis.bulk import ALGORITHMS, BulkAlgorithm
 from repro.mis.engine import MISResult
 from repro.mpc.runtime import run_sharded
 
 __all__ = [
+    "ENGINES",
     "metivier_mis_mpc",
     "luby_a_mis_mpc",
     "luby_b_mis_mpc",
@@ -23,37 +28,29 @@ __all__ = [
 ]
 
 
-def metivier_mis_mpc(
-    graph, seed: int = 0, max_iterations: int = 10_000, **kwargs
-) -> MISResult:
-    """Sharded Métivier MIS, bit-identical to ``metivier-bulk``."""
-    return run_sharded(
-        "metivier", graph, seed=seed, max_iterations=max_iterations, **kwargs
+def _mpc_engine(algorithm: BulkAlgorithm) -> Callable[..., MISResult]:
+    def engine(
+        graph, seed: int = 0, max_iterations: int = algorithm.max_iterations, **kwargs
+    ) -> MISResult:
+        return run_sharded(
+            algorithm.name, graph, seed=seed, max_iterations=max_iterations, **kwargs
+        )
+
+    engine.__name__ = engine.__qualname__ = (
+        f"{algorithm.name.replace('-', '_')}_mis_mpc"
     )
-
-
-def luby_a_mis_mpc(
-    graph, seed: int = 0, max_iterations: int = 10_000, **kwargs
-) -> MISResult:
-    """Sharded Luby Algorithm A, bit-identical to ``luby-a-bulk``."""
-    return run_sharded(
-        "luby-a", graph, seed=seed, max_iterations=max_iterations, **kwargs
+    engine.__doc__ = (
+        f"Sharded {algorithm.title}, bit-identical to ``{algorithm.name}-bulk``."
     )
+    return engine
 
 
-def luby_b_mis_mpc(
-    graph, seed: int = 0, max_iterations: int = 10_000, **kwargs
-) -> MISResult:
-    """Sharded Luby Algorithm B, bit-identical to ``luby-b-bulk``."""
-    return run_sharded(
-        "luby-b", graph, seed=seed, max_iterations=max_iterations, **kwargs
-    )
+#: ``<name>-mpc`` -> engine, for every definition in ``ALGORITHMS``.
+ENGINES: Dict[str, Callable[..., MISResult]] = {
+    f"{name}-mpc": _mpc_engine(algorithm) for name, algorithm in ALGORITHMS.items()
+}
 
-
-def ghaffari_mis_mpc(
-    graph, seed: int = 0, max_iterations: int = 20_000, **kwargs
-) -> MISResult:
-    """Sharded Ghaffari desire-level MIS, bit-identical to ``ghaffari-bulk``."""
-    return run_sharded(
-        "ghaffari", graph, seed=seed, max_iterations=max_iterations, **kwargs
-    )
+metivier_mis_mpc = ENGINES["metivier-mpc"]
+luby_a_mis_mpc = ENGINES["luby-a-mpc"]
+luby_b_mis_mpc = ENGINES["luby-b-mpc"]
+ghaffari_mis_mpc = ENGINES["ghaffari-mpc"]

@@ -4,14 +4,17 @@ The bulk engines (:mod:`repro.mis.bulk`) run each competition iteration
 as whole-graph array operations.  This module runs the *same* iterations
 sharded: a :class:`~repro.mpc.partition.ShardPlan` splits the
 :class:`~repro.graphs.csr.CSRGraph` into contiguous position-range
-shards, each shard executes the round kernels of :mod:`repro.mis.csr`
-restricted to its own rows, and between rounds shards exchange **only
-frontier node state** as batched numpy messages.
+shards, each shard runs the algorithm's stages — the very
+:class:`~repro.mis.bulk.BulkAlgorithm` definition the bulk loop drives —
+over a :class:`~repro.mis.csr.RowView` of its own rows, and between
+stages shards exchange **only frontier node state** as batched numpy
+messages.  This module holds no algorithm rule of its own.
 
 Execution model (docs/mpc_runtime.md has the full walkthrough):
 
 * A coordinator owns the ground-truth state arrays (``active``, and the
-  per-algorithm extras: Ghaffari's ``exponent``, Luby B's ``degree``).
+  definition's extra fields: Ghaffari's ``exponent``, Luby B's
+  ``degree``).
 * Each shard owns a *scratch mirror* indexed by its **support** (its own
   positions plus the ghosts it is adjacent to).  Local entries are
   refreshed from truth for free (local memory); ghost entries are updated
@@ -24,10 +27,10 @@ Execution model (docs/mpc_runtime.md has the full walkthrough):
   (and hence scalar) engines for every seed and every shard count — the
   four-way equivalence the tier-1 suite pins.
 * The astronomically-rare degenerate draws (duplicate/zero priorities,
-  Métivier and Luby A only) are detected by a coordinator-side audit that
-  replays the bulk engine's exact global check and, when triggered, its
-  exact tuple-rule fallback.  Luby B's id-embedded keys and Ghaffari's
-  key-free join rule never need it.
+  Métivier and Luby A only) are detected by a coordinator-side audit —
+  the stage's own ``audit``: the same keys and global check the bulk
+  engine runs and, when triggered, its exact tuple-rule fallback.  Luby
+  B's id-embedded keys and Ghaffari's key-free join rule never need it.
 
 Shard computations run either inline (``workers <= 1``) or on a
 ``multiprocessing`` pool whose workers attach the static CSR arrays
@@ -49,7 +52,6 @@ sleeps and pool management touch the clock.
 from __future__ import annotations
 
 import hashlib
-import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -58,17 +60,11 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.analysis.runner import FailurePolicy
-from repro.errors import AlgorithmError, ConfigurationError, SimulationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.graphs.csr import CSRGraph, csr_from_graph
-from repro.mis.csr import (
-    eliminate_winners_bulk,
-    masked_competition,
-    segment_max,
-    segment_sum,
-)
+from repro.mis.bulk import ALGORITHMS, StateField
+from repro.mis.csr import RowView, eliminate_winners_bulk
 from repro.mis.engine import MISResult
-from repro.mis.ghaffari import _MARK_TAG, _MIN_EXPONENT
-from repro.mis.luby import _LUBY_B_TAG
 from repro.mpc.budget import CommBudget, CommReport, ShardCommMeter
 from repro.mpc.partition import ShardPlan, partition_csr
 from repro.obs.events import (
@@ -86,7 +82,6 @@ from repro.obs.trace import (
     SPAN_RUN,
     Tracer,
 )
-from repro.rng import priority_array
 
 __all__ = [
     "ShardCrash",
@@ -103,32 +98,12 @@ SHARDS_ENV = "REPRO_MPC_SHARDS"
 WORKERS_ENV = "REPRO_MPC_WORKERS"
 DEFAULT_SHARDS = 4
 
-_UINT64_CARDINALITY = 1 << 64
-
-#: Wire encoding of each exchanged field.  ``active`` and ``exponent``
-#: (range [1, 60]) fit a byte; ``degree`` needs four.
-_WIRE_DTYPES = {
-    "active": np.uint8,
-    "exponent": np.int8,
-    "degree": np.int32,
-}
+#: ``active`` ships as one byte; the definitions give their own fields'
+#: wire dtypes (Ghaffari's ``exponent`` in [1, 60] fits a byte, Luby B's
+#: ``degree`` needs four).
+_ACTIVE = StateField("active", 1, np.uint8)
 #: Bytes to name a frontier index in a delta-encoded message.
 _INDEX_BYTES = 4
-
-#: State fields pushed at the top of every round, per algorithm.
-_STATE_FIELDS = {
-    "metivier": ("active",),
-    "luby-a": ("active",),
-    "luby-b": ("active",),
-    "ghaffari": ("active", "exponent"),
-}
-
-_DEFAULT_MAX_ITERATIONS = {
-    "metivier": 10_000,
-    "luby-a": 10_000,
-    "luby-b": 10_000,
-    "ghaffari": 20_000,
-}
 
 
 class InjectedShardCrash(SimulationError):
@@ -172,24 +147,18 @@ class ShardCrash:
 class _ShardStatic:
     """Everything about a shard that never changes across rounds.
 
-    All dynamic arrays a shard touches are indexed by its ``support``
-    (sorted global positions: own range plus ghosts), so shard memory is
-    O(n_local + ghosts), not O(n).
+    All dynamic arrays a shard touches are indexed by its support
+    (``view.support``: sorted global positions, own range plus ghosts), so
+    shard memory is O(n_local + ghosts), not O(n).  Rows ``start..stop``
+    occupy the contiguous run ``view.rows`` of the support.
     """
 
     index: int
     start: int
     stop: int
-    #: Sorted global positions this shard holds state for.
-    support: np.ndarray
-    #: Rows ``start..stop`` occupy this contiguous run of ``support``.
-    local_sel: slice
-    #: Row pointer over local rows, rebased to the local adjacency slice.
-    indptr_local: np.ndarray
-    #: Local adjacency remapped into ``support`` indices.
-    indices_sup: np.ndarray
-    #: Key ids (keyed-randomness identities) at ``support`` positions.
-    key_ids_sup: np.ndarray
+    #: The shard's rows over its support: local row pointer, adjacency
+    #: remapped into support indices, and key ids at the support.
+    view: RowView
     #: peer -> indices into ``support`` of the ghosts owned by that peer.
     ghost_sel: Dict[int, np.ndarray] = field(default_factory=dict)
     #: peer -> sorted own positions whose state ships to that peer.
@@ -215,11 +184,14 @@ def _build_statics(plan: ShardPlan) -> List[_ShardStatic]:
             index=shard.index,
             start=shard.start,
             stop=shard.stop,
-            support=support,
-            local_sel=slice(lo, lo + shard.n_local),
-            indptr_local=plan.local_indptr(shard),
-            indices_sup=np.searchsorted(support, plan.local_indices(shard)),
-            key_ids_sup=csr.key_ids[support],
+            view=RowView(
+                indptr=plan.local_indptr(shard),
+                indices=np.searchsorted(support, plan.local_indices(shard)),
+                key_ids=csr.key_ids[support],
+                n=csr.n,
+                rows=slice(lo, lo + shard.n_local),
+                support=support,
+            ),
             ghost_sel={
                 t: np.searchsorted(support, ghosts)
                 for t, ghosts in shard.ghosts.items()
@@ -233,11 +205,8 @@ def _build_statics(plan: ShardPlan) -> List[_ShardStatic]:
 # -- the pure per-shard round computation ------------------------------------
 
 
-def _keyed_uniforms_sup(
-    key_ids_sup: np.ndarray, seed: int, iteration: int, tag: int
-) -> np.ndarray:
-    raw = priority_array(seed, key_ids_sup, iteration, tag)
-    return (raw >> np.uint64(11)).astype(np.float64) * (1.0 / (1 << 53))
+def _no_kernel(name: Optional[str]) -> None:
+    """Shards trace one ``mpc:kernel`` span per stage, not kernel spans."""
 
 
 def _phase_compute(
@@ -247,84 +216,12 @@ def _phase_compute(
     phase: str,
     seed: int,
     iteration: int,
-    n: int,
-) -> Dict[str, Optional[np.ndarray]]:
-    """One shard's share of one round, as the bulk kernels would compute it.
-
-    Pure function of its arguments; runs identically inline and in a pool
-    worker.  ``phase`` is ``"winners"`` for every algorithm, plus a
-    preceding ``"degrees"`` for Luby B (degrees must be exchanged before
-    keys can be compared across the cut).
-    """
-    loc = static.local_sel
-    active_sup = scratch["active"].astype(bool)
-    sup_values = active_sup[static.indices_sup]
-
-    if phase == "degrees":
-        degrees = segment_sum(sup_values.astype(np.int64), static.indptr_local)
-        degrees[~active_sup[loc]] = 0
-        return {"degrees": degrees}
-
-    if algorithm in ("metivier", "luby-a"):
-        raw = priority_array(seed, static.key_ids_sup, iteration)
-        if algorithm == "luby-a":
-            range_size = max(1, n) ** 4
-            if range_size < _UINT64_CARDINALITY:
-                keys = np.mod(raw, np.uint64(range_size)) + np.uint64(1)
-            else:
-                keys = raw  # same order as 1 + raw (the scalar priority)
-        else:
-            keys = raw
-        masked = np.where(active_sup, keys, np.uint64(0))
-        nmax = segment_max(masked[static.indices_sup], static.indptr_local)
-        winners = active_sup[loc] & (masked[loc] > nmax)
-        return {"winners": winners}
-
-    if algorithm == "luby-b":
-        degrees = scratch["degree"].astype(np.int64)
-        uniforms = _keyed_uniforms_sup(
-            static.key_ids_sup, seed, iteration, _LUBY_B_TAG
-        )
-        thresholds = 1.0 / (2.0 * np.maximum(degrees, 1).astype(np.float64))
-        marked = active_sup & ((degrees == 0) | (uniforms < thresholds))
-        keys = np.where(
-            marked,
-            degrees.astype(np.uint64) * np.uint64(n)
-            + static.support.astype(np.uint64)
-            + np.uint64(1),
-            np.uint64(0),
-        )
-        nmax = segment_max(keys[static.indices_sup], static.indptr_local)
-        winners = marked[loc] & (keys[loc] > nmax)
-        return {"winners": winners}
-
-    if algorithm == "ghaffari":
-        exponents = scratch["exponent"].astype(np.int64)
-        desires = np.ldexp(1.0, -exponents.astype(np.int32))  # exact 2^-j
-        uniforms = _keyed_uniforms_sup(
-            static.key_ids_sup, seed, iteration, _MARK_TAG
-        )
-        marked = active_sup & (uniforms < desires)
-        any_marked = segment_max(
-            marked[static.indices_sup].astype(np.uint8), static.indptr_local
-        ).astype(bool)
-        winners = marked[loc] & ~any_marked
-        # Effective degree against the pre-elimination neighborhood; the
-        # reduceat order over the local adjacency slice equals the bulk
-        # kernel's per-row order, so the float sums are bit-identical.
-        effective = segment_sum(
-            np.where(active_sup, desires, 0.0)[static.indices_sup],
-            static.indptr_local,
-        )
-        exp_loc = exponents[loc]
-        raised = np.minimum(_MIN_EXPONENT, exp_loc + 1)
-        lowered = np.maximum(1, exp_loc - 1)
-        new_exp = np.where(
-            active_sup[loc], np.where(effective >= 2.0, raised, lowered), exp_loc
-        )
-        return {"winners": winners, "exponents": new_exp.astype(np.int8)}
-
-    raise ConfigurationError(f"unknown sharded algorithm {algorithm!r}")
+) -> Dict[str, np.ndarray]:
+    """One shard's share of one stage: the definition's own computation
+    over the shard's rows.  Pure; runs identically inline and in a pool
+    worker."""
+    stage = ALGORITHMS[algorithm].stage(phase)
+    return stage.compute(static.view, scratch, seed, iteration, _no_kernel)
 
 
 # -- multiprocessing pool plumbing -------------------------------------------
@@ -383,7 +280,6 @@ def _compute_traced(
     phase: str,
     seed: int,
     iteration: int,
-    n: int,
 ) -> Dict[str, Any]:
     """``_phase_compute`` wrapped in a collector-mode span recorder.
 
@@ -396,9 +292,7 @@ def _compute_traced(
     buffer: List[Dict[str, Any]] = []
     tracer = Tracer(collector=buffer)
     span = tracer.begin(SPAN_MPC_KERNEL, round=iteration)
-    result = dict(
-        _phase_compute(static, scratch, algorithm, phase, seed, iteration, n)
-    )
+    result = dict(_phase_compute(static, scratch, algorithm, phase, seed, iteration))
     tracer.end(span, shard=static.index, stage=phase, rows=static.n_local)
     result["spans"] = buffer
     return result
@@ -411,7 +305,6 @@ def _pool_task(
     phase: str,
     seed: int,
     iteration: int,
-    n: int,
     scratch: Dict[str, np.ndarray],
     crash: bool,
     attempt: int,
@@ -425,9 +318,8 @@ def _pool_task(
         plan = partition_csr(_WORKER["csr"], _WORKER["k"])
         _WORKER["statics"] = _build_statics(plan)
     static = _WORKER["statics"][shard_index]
-    if trace:
-        return _compute_traced(static, scratch, algorithm, phase, seed, iteration, n)
-    return _phase_compute(static, scratch, algorithm, phase, seed, iteration, n)
+    compute = _compute_traced if trace else _phase_compute
+    return compute(static, scratch, algorithm, phase, seed, iteration)
 
 
 class _SharedStatics:
@@ -463,47 +355,6 @@ class _SharedStatics:
                 pass
 
 
-# -- degenerate-draw audit (control plane) -----------------------------------
-
-
-def _degenerate_winners(
-    csr: CSRGraph, active: np.ndarray, algorithm: str, seed: int, iteration: int
-) -> Optional[np.ndarray]:
-    """The bulk engines' global tie audit, run coordinator-side.
-
-    Shards recompute the shared keyed randomness locally (that *is* the
-    MPC randomness model), but "do two contenders anywhere hold equal
-    keys" is inherently global, so the coordinator replays the bulk
-    engine's exact check — and, on the ≤ n²/2⁶⁴ degenerate draw, its
-    exact tuple-rule fallback.  Returns the global winner mask when the
-    draw is degenerate, else None (the sharded fast path is exact).
-    """
-    n = csr.n
-    raw = priority_array(seed, csr.key_ids, iteration)
-    range_size = max(1, n) ** 4
-    if algorithm == "luby-a":
-        if range_size < _UINT64_CARDINALITY:
-            keys = np.mod(raw, np.uint64(range_size)) + np.uint64(1)
-        else:
-            keys = raw
-    else:
-        keys = raw
-    masked = np.where(active, keys, np.uint64(0))
-    contender_values = masked[active]
-    degenerate = bool((contender_values == 0).any()) or (
-        len(np.unique(contender_values)) != int(active.sum())
-    )
-    if not degenerate:
-        return None
-    if algorithm == "luby-a":
-        exact = lambda i: (1 + int(raw[i]) % range_size, csr.tiebreak_id(i))  # noqa: E731
-    else:
-        exact = lambda i: (int(masked[i]), csr.tiebreak_id(i))  # noqa: E731
-    return masked_competition(
-        csr, contenders=active, keys=masked, blockers=active, exact_key=exact
-    )
-
-
 # -- the coordinator ---------------------------------------------------------
 
 
@@ -525,6 +376,7 @@ class _Coordinator:
         max_iterations: int,
     ):
         self.algorithm = algorithm
+        self.definition = ALGORITHMS[algorithm]
         self.csr = csr
         self.n = csr.n
         self.seed = seed
@@ -555,33 +407,24 @@ class _Coordinator:
         self.mis_iter = np.full(self.n, -1, dtype=np.int64)
         self.dominated_iter = np.full(self.n, -1, dtype=np.int64)
         self.truth: Dict[str, np.ndarray] = {"active": self.active}
-        if algorithm == "ghaffari":
-            self.truth["exponent"] = np.ones(self.n, dtype=np.int64)
-        if algorithm == "luby-b":
-            self.truth["degree"] = np.zeros(self.n, dtype=np.int64)
+        for spec in self.definition.fields:
+            self.truth[spec.name] = np.full(self.n, spec.initial, dtype=np.int64)
 
         # Per-shard scratch mirrors (support-indexed, wire dtypes) and the
         # last value shipped per ordered pair — initialized to the same
         # values as truth so the mirror invariant holds before round 0.
-        self.scratch: List[Dict[str, np.ndarray]] = []
-        for static in self.statics:
-            mirror = {"active": np.ones(static.support.size, dtype=np.uint8)}
-            if algorithm == "ghaffari":
-                mirror["exponent"] = np.ones(static.support.size, dtype=np.int8)
-            if algorithm == "luby-b":
-                mirror["degree"] = np.zeros(static.support.size, dtype=np.int32)
-            self.scratch.append(mirror)
-        self.last_sent: Dict[Tuple[int, int], Dict[str, np.ndarray]] = {}
-        for static in self.statics:
-            for t, positions in static.frontier.items():
-                pair: Dict[str, np.ndarray] = {
-                    "active": np.ones(positions.size, dtype=np.uint8)
-                }
-                if algorithm == "ghaffari":
-                    pair["exponent"] = np.ones(positions.size, dtype=np.int8)
-                if algorithm == "luby-b":
-                    pair["degree"] = np.zeros(positions.size, dtype=np.int32)
-                self.last_sent[(static.index, t)] = pair
+        fields = (_ACTIVE,) + self.definition.fields
+        self.wire = {spec.name: spec.wire for spec in fields}
+
+        def mirror(size: int) -> Dict[str, np.ndarray]:
+            return {s.name: np.full(size, s.initial, dtype=s.wire) for s in fields}
+
+        self.scratch = [mirror(static.view.support.size) for static in self.statics]
+        self.last_sent: Dict[Tuple[int, int], Dict[str, np.ndarray]] = {
+            (static.index, t): mirror(positions.size)
+            for static in self.statics
+            for t, positions in static.frontier.items()
+        }
 
         self.dead_shards: set = set()
         self._attempts: Dict[Tuple[int, str, int], int] = {}
@@ -634,8 +477,7 @@ class _Coordinator:
         """
         static = self.statics[s]
         positions = static.frontier[t]
-        wire = _WIRE_DTYPES[name]
-        payload = self.truth[name][positions].astype(wire)
+        payload = self.truth[name][positions].astype(self.wire[name])
         last = self.last_sent[(s, t)][name]
         changed = np.nonzero(payload != last)[0]
 
@@ -686,9 +528,9 @@ class _Coordinator:
             if static.index in self.dead_shards:
                 continue
             for name in names:
-                self.scratch[static.index][name][static.local_sel] = self.truth[
+                self.scratch[static.index][name][static.view.rows] = self.truth[
                     name
-                ][static.start : static.stop].astype(_WIRE_DTYPES[name])
+                ][static.start : static.stop].astype(self.wire[name])
         if tracer is not None:
             tracer.end(
                 span,
@@ -751,7 +593,6 @@ class _Coordinator:
             phase,
             self.seed,
             iteration,
-            self.n,
             self.scratch[shard],
             crash,
             attempt,
@@ -793,7 +634,6 @@ class _Coordinator:
                     phase,
                     self.seed,
                     iteration,
-                    self.n,
                 )
             except Exception as exc:
                 self._emit_failure(shard, exc, attempt)
@@ -878,21 +718,15 @@ class _Coordinator:
 
     def run(self) -> MISResult:
         algorithm = self.algorithm
+        definition = self.definition
         tracer = self.tracer
         history: List[int] = []
         iteration = 0
-        shatter_iteration: Optional[int] = None
-        if algorithm == "ghaffari":
-            n_floor = max(2, self.n)
-            shatter_threshold = n_floor / max(1.0, math.log(n_floor) ** 2)
 
         run_span = tracer.begin(SPAN_RUN) if tracer is not None else None
         while self.active.any() and iteration < self.max_iterations:
             active_count = int(self.active.sum())
             history.append(active_count)
-            if algorithm == "ghaffari" and shatter_iteration is None:
-                if active_count <= shatter_threshold:
-                    shatter_iteration = iteration
 
             round_span = (
                 tracer.begin(SPAN_MPC_ROUND, round=iteration)
@@ -900,61 +734,39 @@ class _Coordinator:
                 else None
             )
             self._round_shard_seconds = {}
-            self._push_state(_STATE_FIELDS[algorithm], iteration)
-
-            fallback = None
-            if algorithm in ("metivier", "luby-a"):
-                audit_span = (
-                    tracer.begin(SPAN_MPC_AUDIT, round=iteration)
-                    if tracer is not None
-                    else None
-                )
-                fallback = _degenerate_winners(
-                    self.csr, self.active, algorithm, self.seed, iteration
-                )
-                if tracer is not None:
-                    tracer.end(audit_span, degenerate=fallback is not None)
-
-            if algorithm == "luby-b":
-                shards_before = set(self.dead_shards)
-                for s, outcome in self._run_phase("degrees", iteration).items():
-                    static = self.statics[s]
-                    self.truth["degree"][static.start : static.stop] = outcome[
-                        "degrees"
-                    ]
-                died_in_degrees = self.dead_shards - shards_before
-                self._push_state(("degree",), iteration)
-            else:
-                died_in_degrees = set()
-
             winners = np.zeros(self.n, dtype=bool)
-            died_this_round = set(died_in_degrees)
-            if fallback is not None:
-                winners = fallback
-            else:
+            fallback = None
+            died_this_round: set = set()
+            for stage in definition.stages:
+                self._push_state(stage.exchange, iteration)
+                if stage.audit is not None:
+                    audit_span = (
+                        tracer.begin(SPAN_MPC_AUDIT, round=iteration)
+                        if tracer is not None
+                        else None
+                    )
+                    fallback = stage.audit(
+                        self.csr, self.active, self.seed, iteration
+                    )
+                    if tracer is not None:
+                        tracer.end(audit_span, degenerate=fallback is not None)
+                    if fallback is not None:
+                        winners = fallback
+                        break
                 shards_before = set(self.dead_shards)
-                for s, outcome in self._run_phase("winners", iteration).items():
-                    static = self.statics[s]
-                    winners[static.start : static.stop] = outcome["winners"]
-                    if algorithm == "ghaffari":
-                        self.truth["exponent"][
-                            static.start : static.stop
-                        ] = outcome["exponents"]
+                for s, outcome in self._run_phase(stage.name, iteration).items():
+                    rows = slice(self.statics[s].start, self.statics[s].stop)
+                    for name, values in outcome.items():
+                        target = winners if name == "winners" else self.truth[name]
+                        target[rows] = values
                 died_this_round |= self.dead_shards - shards_before
+            if fallback is None:
                 # A retired shard's nodes crashed mid-round: anything it
                 # might have decided is lost with the machine.
                 winners &= self.active
 
-            if (
-                algorithm in ("metivier", "luby-a")
-                and not winners.any()
-                and self.active.any()
-                and not died_this_round
-            ):
-                raise AlgorithmError(
-                    f"{algorithm}-mpc made no progress with nodes still active "
-                    f"(iteration {iteration}) — engine invariant violated"
-                )
+            if self.active.any() and not died_this_round:
+                definition.check_progress(f"{algorithm}-mpc", iteration, winners)
 
             self._meter_winner_push(winners, iteration)
 
@@ -1003,8 +815,7 @@ class _Coordinator:
             "workers": self.workers,
             "comm": report.to_dict(),
         }
-        if algorithm == "ghaffari":
-            extra["iterations_to_shatter"] = shatter_iteration
+        extra.update(definition.result_extra(history, self.n))
         if self.crashed.any():
             extra["crashed"] = sorted(self.csr.label_set(self.crashed))
             extra["dead_shards"] = sorted(self.dead_shards)
@@ -1089,10 +900,10 @@ def run_sharded(
     ``iterations``, same ``active_history``) for every shard count — the
     tier-1 differential suite pins this four ways.
     """
-    if algorithm not in _STATE_FIELDS:
+    if algorithm not in ALGORITHMS:
         raise ConfigurationError(
             f"unknown sharded algorithm {algorithm!r}; available: "
-            f"{', '.join(sorted(_STATE_FIELDS))}"
+            f"{', '.join(sorted(ALGORITHMS))}"
         )
     csr = graph if isinstance(graph, CSRGraph) else csr_from_graph(graph)
     if shards is None:
@@ -1100,7 +911,7 @@ def run_sharded(
     if workers is None:
         workers = _env_int(WORKERS_ENV, 0)
     if max_iterations is None:
-        max_iterations = _DEFAULT_MAX_ITERATIONS[algorithm]
+        max_iterations = ALGORITHMS[algorithm].max_iterations
     policy = failure_policy if failure_policy is not None else FailurePolicy.from_env()
 
     if csr.n == 0:

@@ -23,8 +23,8 @@ Backpressure surfaces as HTTP semantics: ``429`` with a ``Retry-After``
 header at the admission watermark, ``504`` on deadline, ``503`` for
 circuit-open.  Framing errors are answered and the connection
 closed (never silently truncated, which would desync keep-alive):
-``400`` for a malformed ``Content-Length``, ``413`` for a body over the
-8 MiB cap.
+``400`` for a malformed ``Content-Length`` or a body that is not a JSON
+object, ``413`` for a body over the 8 MiB cap.
 """
 
 from __future__ import annotations
@@ -51,6 +51,12 @@ class _ProtocolError(Exception):
         super().__init__(payload.get("error", {}).get("message", ""))
         self.status = status
         self.payload = payload
+
+
+def _bad_request(message: str) -> _ProtocolError:
+    return _ProtocolError(
+        400, {"error": {"code": "bad-request", "message": message}}
+    )
 
 
 class HttpFrontend:
@@ -156,25 +162,9 @@ class HttpFrontend:
                 try:
                     content_length = int(value.strip() or 0)
                 except ValueError:
-                    raise _ProtocolError(
-                        400,
-                        {
-                            "error": {
-                                "code": "bad-request",
-                                "message": "invalid Content-Length header",
-                            }
-                        },
-                    ) from None
+                    raise _bad_request("invalid Content-Length header") from None
                 if content_length < 0:
-                    raise _ProtocolError(
-                        400,
-                        {
-                            "error": {
-                                "code": "bad-request",
-                                "message": "negative Content-Length header",
-                            }
-                        },
-                    )
+                    raise _bad_request("negative Content-Length header")
         if content_length > _MAX_BODY:
             # Refuse rather than truncate: reading only a prefix would
             # leave the remainder in the stream to be misparsed as the
@@ -193,8 +183,10 @@ class HttpFrontend:
             raw = await reader.readexactly(content_length)
             try:
                 body = json.loads(raw)
-            except json.JSONDecodeError:
-                body = {}
+            except ValueError:  # JSONDecodeError, or bytes that are not UTF-8
+                raise _bad_request("body is not valid JSON") from None
+            if not isinstance(body, dict):
+                raise _bad_request("body must be a JSON object")
         return method.upper(), path, body
 
     # -- routing --------------------------------------------------------------

@@ -59,7 +59,8 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.analysis.runner import FailurePolicy
-from repro.errors import ReproError
+from repro.errors import ConfigurationError, ReproError
+from repro.mis.registry import get_algorithm
 from repro.serve.errors import (
     BadRequestError,
     CircuitOpenError,
@@ -465,6 +466,12 @@ class MISService:
                 f"session {request.session!r} already exists"
             )
         deadline = self._deadline_of(request)
+        try:
+            # A client error, not an engine fault: refuse it before it
+            # takes an in-flight slot or reaches the retrying epoch path.
+            get_algorithm(request.algorithm, engine=request.engine)
+        except ConfigurationError as exc:
+            raise BadRequestError(str(exc)) from None
         self._admit()
         try:
             session = GraphSession(

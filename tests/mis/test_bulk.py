@@ -18,7 +18,6 @@ from repro.errors import AlgorithmError
 from repro.graphs.csr import csr_from_graph
 from repro.graphs.generators import bounded_arboricity_graph, random_tree
 from repro.mis.bulk import (
-    csr_adjacency,
     ghaffari_mis_bulk,
     luby_a_mis_bulk,
     luby_b_mis_bulk,
@@ -44,30 +43,30 @@ ENGINE_TRIPLES = [
 
 class TestCsrAdjacency:
     def test_round_trip_degrees(self, arb3_graph):
-        node_ids, indptr, indices = csr_adjacency(arb3_graph)
-        for i, v in enumerate(node_ids):
-            assert indptr[i + 1] - indptr[i] == arb3_graph.degree(int(v))
+        csr = csr_from_graph(arb3_graph)
+        for i, v in enumerate(csr.labels):
+            assert csr.indptr[i + 1] - csr.indptr[i] == arb3_graph.degree(int(v))
 
     def test_neighbor_positions(self, path5):
-        node_ids, indptr, indices = csr_adjacency(path5)
+        csr = csr_from_graph(path5)
         # Node 1 (position 1) neighbors are positions 0 and 2.
-        assert list(indices[indptr[1] : indptr[2]]) == [0, 2]
+        assert list(csr.indices[csr.indptr[1] : csr.indptr[2]]) == [0, 2]
 
     def test_non_contiguous_labels(self):
         g = nx.Graph([(10, 20), (20, 40)])
-        node_ids, indptr, indices = csr_adjacency(g)
-        assert list(node_ids) == [10, 20, 40]
-        assert indptr[-1] == 4
+        csr = csr_from_graph(g)
+        assert list(csr.labels) == [10, 20, 40]
+        assert csr.indptr[-1] == 4
 
     def test_string_labels_no_longer_crash(self):
         # Regression: the original implementation did np.array(sorted(G)),
         # which raised on non-integer labels (and TypeError'd on mixed ones).
         g = nx.Graph([("b", "a"), ("a", "c")])
-        node_ids, indptr, indices = csr_adjacency(g)
-        assert list(node_ids) == ["a", "b", "c"]
-        assert indptr[-1] == 4
+        csr = csr_from_graph(g)
+        assert list(csr.labels) == ["a", "b", "c"]
+        assert csr.indptr[-1] == 4
         # Position 0 is "a"; its neighbors are positions 1 ("b") and 2 ("c").
-        assert sorted(indices[indptr[0] : indptr[1]]) == [1, 2]
+        assert sorted(csr.indices[csr.indptr[0] : csr.indptr[1]]) == [1, 2]
 
 
 class TestNonIntegerLabels:

@@ -165,6 +165,63 @@ class TestFraming:
         run_with_frontend(scenario)
 
 
+def post_raw_body(port, path, body: bytes) -> bytes:
+    return raw_request(
+        port,
+        f"POST {path} HTTP/1.1\r\nContent-Length: {len(body)}\r\n\r\n".encode()
+        + body,
+    )
+
+
+class TestBodies:
+    def test_json_array_body_is_400(self):
+        # Valid JSON that is not an object used to crash the connection
+        # handler; the client got no response at all.
+        def scenario(port, service):
+            raw = post_raw_body(port, "/v1/sessions", b"[1, 2]")
+            assert raw.startswith(b"HTTP/1.1 400 ")
+            assert b"bad-request" in raw
+            assert service.sessions == {}
+
+        run_with_frontend(scenario)
+
+    def test_invalid_json_body_is_400_not_an_empty_request(self):
+        # Garbled JSON used to be read as {}, so a garbled mutate ran as
+        # an empty epoch.
+        def scenario(port, service):
+            request(port, "POST", "/v1/sessions", {"name": "s"})
+            epoch = service.sessions["s"].snapshot["epoch"]
+            raw = post_raw_body(port, "/v1/sessions/s/mutations", b'{"mutations": [')
+            assert raw.startswith(b"HTTP/1.1 400 ")
+            assert b"bad-request" in raw
+            raw = post_raw_body(port, "/v1/sessions", b"\xff\xfe")
+            assert raw.startswith(b"HTTP/1.1 400 ")
+            assert service.sessions["s"].snapshot["epoch"] == epoch
+
+        run_with_frontend(scenario)
+
+    def test_unknown_engine_or_algorithm_on_create_is_400(self):
+        def scenario(port, service):
+            for fields in (
+                {"engine": 5},
+                {"engine": "nope"},
+                {"algorithm": "no-such-alg"},
+            ):
+                status, body, _ = request(
+                    port,
+                    "POST",
+                    "/v1/sessions",
+                    {"name": "s", "edges": [[0, 1]], **fields},
+                )
+                assert status == 400, (fields, body)
+                assert body["error"]["code"] == "bad-request"
+            assert service.counters.retries == 0
+            assert service.counters.engine_failures == 0
+            assert service.sessions == {}
+
+        run_with_frontend(scenario)
+
+
 class TestErrorStatuses:
     def test_conflict_and_bad_request(self):
         def scenario(port, service):

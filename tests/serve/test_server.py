@@ -174,6 +174,36 @@ class TestSessionLifecycle:
 
         run(scenario())
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"engine": 5},
+            {"engine": "nope"},
+            {"algorithm": "no-such-alg"},
+        ],
+        ids=["engine-int", "engine-name", "algorithm"],
+    )
+    def test_unknown_engine_or_algorithm_is_a_bad_request(self, fields):
+        # A client error: answered 400 before admission, never retried as
+        # an engine fault and never counted as one.
+        async def scenario():
+            service = make_service(retries=1)
+            try:
+                response = await service.submit(
+                    Request(op="create", session="s", edges=PATH_EDGES, **fields)
+                )
+                assert not response.ok
+                assert response.error["code"] == "bad-request"
+                assert response.error.get("retryable") is not True
+                assert service.counters.retries == 0
+                assert service.counters.engine_failures == 0
+                assert service.queue_depth == 0
+                assert "s" not in service.sessions
+            finally:
+                await service.close()
+
+        run(scenario())
+
 
 class TestLadderRungs:
     def test_rung_1_incremental_repair(self):
