@@ -44,7 +44,7 @@ _SRC = os.path.join(os.path.dirname(_HERE), "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
-from repro.core.bulk import bounded_arb_independent_set_bulk  # noqa: E402
+from repro.core.bounded_arb import bounded_arb_independent_set  # noqa: E402
 from repro.graphs.csr import csr_bounded_arboricity  # noqa: E402
 from repro.mis.bulk import (  # noqa: E402
     ghaffari_mis_bulk,
@@ -187,7 +187,7 @@ def run_cell(cell: dict) -> dict:
         if serve_cell:
             iterations, mis_size = _run_serve_cell(cell)
         elif cell["algorithm"] == "arb-alg1-bulk":
-            result = bounded_arb_independent_set_bulk(
+            result = bounded_arb_independent_set(
                 csr, alpha=cell["alpha"], seed=cell["seed"]
             )
             iterations = result.iterations

@@ -1,7 +1,7 @@
 """E17 (extension) — the full pipeline at n up to 2¹⁶.
 
-With the vectorized Algorithm 1 engine (bit-identical to the scalar one),
-the complete ArbMIS pipeline runs at n = 65 536.  This records the
+With Algorithm 1 on its columnar fast engine (bit-identical to the
+CONGEST program), the complete ArbMIS pipeline runs at n = 65 536.  This records the
 end-to-end picture at the largest feasible sizes: measured CONGEST
 rounds of the paper's pipeline vs the Métivier baseline, validated
 outputs, and wall time — the repository's "does the whole thing actually
@@ -17,7 +17,7 @@ import pytest
 
 from _common import emit
 from repro.core.arb_mis import arb_mis
-from repro.core.bulk import bounded_arb_independent_set_bulk
+from repro.core.bounded_arb import bounded_arb_independent_set
 from repro.graphs.csr import csr_bounded_arboricity
 from repro.graphs.generators import bounded_arboricity_graph
 from repro.mis.bulk import metivier_mis_bulk
@@ -40,7 +40,7 @@ def test_e17_pipeline_at_scale(benchmark):
         graph = bounded_arboricity_graph(n, ALPHA, seed=SEED)
 
         start = time.perf_counter()
-        pipeline = arb_mis(graph, alpha=ALPHA, seed=SEED, engine="bulk")
+        pipeline = arb_mis(graph, alpha=ALPHA, seed=SEED)
         pipeline_seconds = time.perf_counter() - start
         assert_valid_mis(graph, pipeline.mis)
 
@@ -63,7 +63,7 @@ def test_e17_pipeline_at_scale(benchmark):
 
     graph = bounded_arboricity_graph(2**14, ALPHA, seed=SEED)
     benchmark.pedantic(
-        lambda: arb_mis(graph, alpha=ALPHA, seed=SEED, engine="bulk", validate=False),
+        lambda: arb_mis(graph, alpha=ALPHA, seed=SEED, validate=False),
         rounds=3,
         iterations=1,
     )
@@ -82,7 +82,7 @@ def test_e17_algorithm1_at_ten_million(benchmark):
     for n in LARGE_SIZES:
         csr = csr_bounded_arboricity(n, ALPHA, seed=SEED)
         start = time.perf_counter()
-        stage = bounded_arb_independent_set_bulk(csr, alpha=ALPHA, seed=SEED)
+        stage = bounded_arb_independent_set(csr, alpha=ALPHA, seed=SEED)
         seconds = time.perf_counter() - start
         rows.append(
             {
@@ -102,7 +102,7 @@ def test_e17_algorithm1_at_ten_million(benchmark):
     )
     csr = csr_bounded_arboricity(10**6, ALPHA, seed=SEED)
     benchmark.pedantic(
-        lambda: bounded_arb_independent_set_bulk(csr, alpha=ALPHA, seed=SEED),
+        lambda: bounded_arb_independent_set(csr, alpha=ALPHA, seed=SEED),
         rounds=2,
         iterations=1,
     )

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Scaling curves in the terminal: measured iterations vs theory shapes.
 
-Sweeps n over three octaves on arboricity-2 workloads with the bulk
-engine, then draws an ASCII chart of the measured iteration counts for
+Sweeps n over three octaves on arboricity-2 workloads with the columnar
+engines, then draws an ASCII chart of the measured iteration counts for
 Luby-B, Métivier and the full ArbMIS pipeline, next to the theoretical
 log n and sqrt(log n · log log n) reference curves (scaled to match at
 the smallest n).  This is experiment E1/E2's content as a picture.
@@ -32,7 +32,7 @@ def main() -> None:
             graph = bounded_arboricity_graph(n, ALPHA, seed=seed)
             luby.append(luby_b_mis(graph, seed=seed).iterations)
             met.append(metivier_mis_bulk(graph, seed=seed).iterations)
-            arb.append(arb_mis(graph, alpha=ALPHA, seed=seed, engine="bulk").iterations)
+            arb.append(arb_mis(graph, alpha=ALPHA, seed=seed).iterations)
         measured["luby-b"].append((n, summarize(luby).mean))
         measured["metivier"].append((n, summarize(met).mean))
         measured["arb-mis"].append((n, summarize(arb).mean))

@@ -105,10 +105,15 @@ def arb_mis(
     parameters: Optional[Parameters] = None,
     validate: bool = True,
     finishing_strategy: str = "metivier",
-    engine: str = "scalar",
     observer=None,
 ) -> MISResult:
     """Compute an MIS of ``graph`` with the paper's full pipeline.
+
+    Algorithm 1 runs on its one fast engine, the columnar
+    :func:`~repro.core.bounded_arb.bounded_arb_independent_set`; there is
+    no engine option.  Its CONGEST program
+    (:class:`~repro.core.bounded_arb.BoundedArbNodeProgram`) is the
+    fidelity anchor the tests compare it against.
 
     Parameters
     ----------
@@ -132,10 +137,6 @@ def arb_mis(
         ``"metivier"`` (randomized, default) or ``"linial"`` (fully
         deterministic Vlo/Vhi stages via (Δ+1)-coloring; the Theorem-7.4
         flavor the paper cites in §3.3).
-    engine:
-        ``"scalar"`` (default) or ``"bulk"`` — the numpy-vectorized
-        Algorithm 1 engine, bit-identical to the scalar one (tested) and
-        much faster at n ≥ 10⁴.
     observer:
         Optional phase-timer host (anything with an
         ``ObsSession``-compatible ``phase(name)`` context manager); the
@@ -171,16 +172,8 @@ def arb_mis(
     params = parameters or compute_parameters(
         alpha, graph_max_degree(working), profile=profile, p_constant=p_constant
     )
-    if engine == "bulk":
-        from repro.core.bulk import bounded_arb_independent_set_bulk
-
-        algorithm_1 = bounded_arb_independent_set_bulk
-    elif engine == "scalar":
-        algorithm_1 = bounded_arb_independent_set
-    else:
-        raise ConfigurationError(f"unknown engine {engine!r}; use 'scalar' or 'bulk'")
     with _phase(observer, PHASE_SHATTERING):
-        partial = algorithm_1(
+        partial = bounded_arb_independent_set(
             working,
             alpha=alpha,
             seed=seed,

@@ -14,35 +14,52 @@ the paper.
 
 Engines
 -------
-* :func:`bounded_arb_independent_set` — fast engine, with optional
-  per-scale statistics and an ``early_exit`` optimization (skip remaining
-  iterations of a scale once every active node already satisfies the
-  Invariant; off by default in tests that compare against the CONGEST
-  engine, since skipping shifts the randomness schedule);
-* :class:`BoundedArbNodeProgram` — CONGEST engine.  Each scale costs
-  3Λ + 2 rounds: 3 per iteration (keys / decide / notify) plus a degree
-  exchange and a bad-announcement round at the scale boundary.
+* :func:`bounded_arb_independent_set` — the fast engine: each iteration
+  is a handful of segment reductions over the columnar substrate
+  (:mod:`repro.mis.csr`), on a networkx graph or a prebuilt
+  :class:`~repro.graphs.csr.CSRGraph`.  It returns per-scale statistics
+  and has an ``early_exit`` optimization (skip the remaining iterations of
+  a scale once every active node already satisfies the Invariant; off by
+  default, and off in the tests that compare against the CONGEST engine,
+  since skipping shifts the randomness schedule);
+* :class:`BoundedArbNodeProgram` — the CONGEST engine and fidelity
+  anchor: with ``early_exit`` off the fast engine's ``(I, B, VIB)`` is
+  bit-identical to it (tested).  Each scale costs 3Λ + 2 rounds: 3 per
+  iteration (keys / decide / notify) plus a degree exchange and a
+  bad-announcement round at the scale boundary.
+
+There is no engine option: these are the only two implementations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple, Union
 
 import networkx as nx
+import numpy as np
 
 from repro.congest.algorithm import NodeAlgorithm, NodeContext
 from repro.congest.network import Network
 from repro.congest.simulator import SynchronousSimulator
-from repro.core.invariant import (
-    active_degrees,
-    high_degree_neighbor_counts,
-    invariant_violators,
-)
 from repro.core.parameters import Parameters, ROUNDS_PER_ITERATION, compute_parameters
 from repro.errors import ConfigurationError
+from repro.graphs.csr import CSRGraph, csr_from_graph
 from repro.graphs.properties import max_degree as graph_max_degree
-from repro.mis.engine import active_adjacency, competition_winners, eliminate_winners
+from repro.mis.csr import (
+    keyed_priorities,
+    masked_competition,
+    neighbor_count,
+    spread_to_neighbors,
+)
+from repro.obs.trace import (
+    SPAN_ARB_SCALE,
+    SPAN_BULK_ITERATION,
+    SPAN_KERNEL_COMPETE,
+    SPAN_KERNEL_DEGREES,
+    SPAN_KERNEL_ELIMINATE,
+    SPAN_RUN,
+)
 from repro.rng import priority_draw
 
 __all__ = [
@@ -91,39 +108,15 @@ class BoundedArbResult:
         )
 
 
-def _competition_keys(
-    active: Set[int],
-    degrees: Dict[int, int],
-    rho_k: float,
-    seed: int,
-    iteration: int,
-) -> Tuple[Dict[int, Tuple], Set[int]]:
-    """Keys for one iteration: competitive nodes draw, others play zero.
-
-    Mirrors the paper's priority rule: ``r(v) = 0`` deterministically when
-    ``deg_IB(v) > ρ_k``, uniform otherwise.  Zero-priority nodes can never
-    exceed a competitive neighbor and are additionally ineligible to win
-    (a zero priority is never *greater* than anything).
-    """
-    keys: Dict[int, Tuple] = {}
-    competitive: Set[int] = set()
-    for v in active:
-        if degrees[v] > rho_k:
-            keys[v] = (0, 0, v)
-        else:
-            competitive.add(v)
-            keys[v] = (1, priority_draw(seed, v, iteration), v)
-    return keys, competitive
-
-
 def bounded_arb_independent_set(
-    graph: nx.Graph,
+    graph: Union[nx.Graph, CSRGraph],
     alpha: int,
     seed: int = 0,
     profile: str = "practical",
     p_constant: int = 1,
     early_exit: bool = False,
     parameters: Optional[Parameters] = None,
+    tracer=None,
 ) -> BoundedArbResult:
     """Fast engine for Algorithm 1.
 
@@ -131,7 +124,9 @@ def bounded_arb_independent_set(
     ----------
     graph:
         The input graph (arboricity ≤ ``alpha`` for the guarantees to
-        apply; the algorithm runs — without them — on any graph).
+        apply; the algorithm runs — without them — on any graph).  A
+        prebuilt :class:`~repro.graphs.csr.CSRGraph` skips the conversion,
+        so no ``networkx`` object is ever materialized (E17 at n = 10⁷).
     alpha:
         The arboricity bound fed into the parameter formulas.
     profile / p_constant / parameters:
@@ -141,81 +136,141 @@ def bounded_arb_independent_set(
         Skip the rest of a scale's iterations once the Invariant holds at
         every active node.  Changes the randomness schedule, so leave off
         when comparing against the CONGEST engine.
+    tracer:
+        Optional :class:`~repro.obs.trace.Tracer`; opens the ``run``,
+        ``arb:scale``, ``bulk:iteration`` and ``kernel:*`` spans.
     """
     if alpha < 1:
         raise ConfigurationError(f"alpha must be >= 1, got {alpha}")
+    csr = graph if isinstance(graph, CSRGraph) else csr_from_graph(graph)
     params = parameters or compute_parameters(
-        alpha, graph_max_degree(graph), profile=profile, p_constant=p_constant
+        alpha, csr.max_degree(), profile=profile, p_constant=p_constant
     )
 
-    adjacency = active_adjacency(graph)
-    active: Set[int] = set(graph.nodes())
-    independent: Set[int] = set()
-    bad: Set[int] = set()
+    n = csr.n
+    if n == 0:
+        return BoundedArbResult(
+            independent_set=set(),
+            bad_set=set(),
+            residual=set(),
+            parameters=params,
+            iterations=0,
+            seed=seed,
+        )
+
+    active = np.ones(n, dtype=bool)
+    in_mis = np.zeros(n, dtype=bool)
+    bad = np.zeros(n, dtype=bool)
     stats: List[ScaleStats] = []
     iteration_counter = 0
 
+    def high_degree_counts(threshold: float) -> np.ndarray:
+        high = active & (neighbor_count(active, csr) > threshold)
+        return neighbor_count(high, csr)
+
+    run_span = tracer.begin(SPAN_RUN) if tracer is not None else None
     for k in params.scales():
+        scale_span = (
+            tracer.begin(SPAN_ARB_SCALE) if tracer is not None else None
+        )
+        if scale_span is not None:
+            scale_span.add(scale=k)
         rho_k = params.rho(k)
-        active_before = len(active)
+        active_before = int(active.sum())
         joined_this_scale = 0
         eliminated_this_scale = 0
         iterations_used = 0
+        high_threshold = params.high_degree_threshold(k)
+        bad_threshold = params.bad_threshold(k)
 
         for _ in range(params.lambda_iterations):
-            if not active:
+            if not active.any():
                 break
-            if early_exit and not invariant_violators(active, adjacency, params, k):
-                break
-            degrees = active_degrees(active, adjacency)
-            keys, competitive = _competition_keys(
-                active, degrees, rho_k, seed, iteration_counter
+            if early_exit:
+                counts = high_degree_counts(high_threshold)
+                if not (active & (counts > bad_threshold)).any():
+                    break
+            it_span = (
+                tracer.begin(SPAN_BULK_ITERATION, round=iteration_counter)
+                if tracer is not None
+                else None
             )
-            winners = competition_winners(active, adjacency, keys, eligible=competitive)
-            independent |= winners
-            removed = eliminate_winners(active, adjacency, winners)
-            joined_this_scale += len(winners)
-            eliminated_this_scale += len(removed) - len(winners)
+            k_span = (
+                tracer.begin(SPAN_KERNEL_DEGREES, round=iteration_counter)
+                if tracer is not None
+                else None
+            )
+            # The paper's priority rule: r(v) = 0 when deg_IB(v) > ρ_k,
+            # uniform otherwise.
+            competitive = active & (neighbor_count(active, csr) <= rho_k)
+            priorities = keyed_priorities(csr, seed, iteration_counter)
+            masked = np.where(competitive, priorities, np.uint64(0))
+            if tracer is not None:
+                tracer.end(k_span)
+                k_span = tracer.begin(SPAN_KERNEL_COMPETE, round=iteration_counter)
+            # Competitive nodes play (1, priority, id); active
+            # non-competitive neighbors play (0, 0, id): they can never
+            # win and never block a competitive neighbor.
+            winners = masked_competition(
+                csr,
+                contenders=competitive,
+                keys=masked,
+                blockers=active,
+                exact_key=lambda i: (
+                    (1, int(masked[i]), csr.tiebreak_id(i))
+                    if competitive[i]
+                    else (0, 0, csr.tiebreak_id(i))
+                ),
+            )
+            if tracer is not None:
+                tracer.end(k_span)
+                k_span = tracer.begin(SPAN_KERNEL_ELIMINATE, round=iteration_counter)
+
+            in_mis |= winners
+            eliminated = (winners | spread_to_neighbors(winners, csr)) & active
+            joined_this_scale += int(winners.sum())
+            eliminated_this_scale += int(eliminated.sum()) - int(winners.sum())
+            active &= ~eliminated
+            if tracer is not None:
+                tracer.end(k_span, winners=int(winners.sum()))
+                tracer.end(it_span)
             iteration_counter += 1
             iterations_used += 1
 
         # Step 2(b): mark and remove bad nodes.
-        counts = high_degree_neighbor_counts(
-            active, adjacency, params.high_degree_threshold(k)
-        )
-        bad_threshold = params.bad_threshold(k)
-        newly_bad = {v for v, c in counts.items() if c > bad_threshold}
+        counts = high_degree_counts(high_threshold)
+        newly_bad = active & (counts > bad_threshold)
         bad |= newly_bad
-        active -= newly_bad
-        for v in newly_bad:
-            for u in adjacency[v]:
-                adjacency[u].discard(v)
-            adjacency[v] = set()
+        active &= ~newly_bad
 
-        remaining_counts = high_degree_neighbor_counts(
-            active, adjacency, params.high_degree_threshold(k)
-        )
+        remaining = high_degree_counts(high_threshold)[active]
         stats.append(
             ScaleStats(
                 scale=k,
                 iterations_used=iterations_used,
                 active_before=active_before,
-                active_after=len(active),
+                active_after=int(active.sum()),
                 joined=joined_this_scale,
                 eliminated=eliminated_this_scale,
-                bad_added=len(newly_bad),
-                max_high_degree_neighbors=max(remaining_counts.values(), default=0),
+                bad_added=int(newly_bad.sum()),
+                max_high_degree_neighbors=int(remaining.max()) if remaining.size else 0,
                 bad_threshold=bad_threshold,
-                invariant_satisfied=all(
-                    c <= bad_threshold for c in remaining_counts.values()
-                ),
+                invariant_satisfied=bool((remaining <= bad_threshold).all()),
             )
         )
+        if tracer is not None:
+            tracer.end(
+                scale_span,
+                iterations=iterations_used,
+                joined=joined_this_scale,
+            )
 
+    if tracer is not None:
+        tracer.end(run_span, iterations=iteration_counter)
     return BoundedArbResult(
-        independent_set=independent,
-        bad_set=bad,
-        residual=active,
+        independent_set=csr.label_set(in_mis),
+        bad_set=csr.label_set(bad),
+        residual=csr.label_set(active),
         parameters=params,
         iterations=iteration_counter,
         seed=seed,

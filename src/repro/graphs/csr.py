@@ -1,7 +1,8 @@
 """Columnar (CSR) graph substrate for the bulk engines.
 
 The scalar engines walk ``networkx`` adjacency dicts; the bulk engines
-(:mod:`repro.mis.bulk`, :mod:`repro.core.bulk`) walk flat arrays.  This
+(:mod:`repro.mis.bulk`, Algorithm 1 in :mod:`repro.core.bounded_arb`)
+walk flat arrays.  This
 module owns the array layout and every way of building it:
 
 * :class:`CSRGraph` — compressed-sparse-row adjacency plus the label

@@ -82,7 +82,7 @@ class LintConfig:
     safety_packages: Tuple[str, ...] = (
         "repro.mpc",
         "repro.mis.csr",
-        "repro.core.bulk",
+        "repro.core.bounded_arb",
         "repro.graphs.csr",
     )
     #: Packages sanctioned to hold wall clocks / ambient state: calls from

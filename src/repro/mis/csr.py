@@ -19,8 +19,9 @@ The reductions and draws run over a :class:`RowView` as well as over a
 whole :class:`~repro.graphs.csr.CSRGraph`: a view is some rows of the
 adjacency over a column index space, which is how an MPC shard runs the
 same kernels on its own rows.  The bulk algorithms in
-:mod:`repro.mis.bulk` and :mod:`repro.core.bulk` are thin compositions of
-these kernels; adding a new bulk algorithm means writing only its
+:mod:`repro.mis.bulk` and Algorithm 1's fast engine
+(:func:`repro.core.bounded_arb.bounded_arb_independent_set`) are thin
+compositions of these kernels; adding a new bulk algorithm means writing only its
 key/marking rule (docs/columnar_substrate.md walks through one).
 
 Everything here is a pure function of its arguments — no wall clocks, no

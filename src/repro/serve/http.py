@@ -33,7 +33,8 @@ import asyncio
 import json
 from typing import Any, Dict, Optional, Tuple
 
-from repro.serve.incremental import mutations_from_records
+from repro.serve.errors import BadRequestError
+from repro.serve.incremental import mutations_from_records, wire_int
 from repro.serve.server import MISService, Request, Response
 
 __all__ = ["HttpFrontend", "serve_http"]
@@ -212,14 +213,15 @@ class HttpFrontend:
                     op="create",
                     session=str(body.get("name", "")),
                     edges=tuple(
-                        (int(u), int(v)) for u, v in body.get("edges", [])
+                        (wire_int(u, "edge endpoint"), wire_int(v, "edge endpoint"))
+                        for u, v in body.get("edges", [])
                     ),
-                    seed=int(body.get("seed", 0)),
+                    seed=wire_int(body.get("seed", 0), "seed"),
                     algorithm=str(body.get("algorithm", "metivier")),
                     engine=body.get("engine"),
                     deadline_s=body.get("deadline_s"),
                 )
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, BadRequestError):
                 return 400, {"error": {"code": "bad-request"}}, {}
         elif path.startswith("/v1/sessions/"):
             tail = path[len("/v1/sessions/"):]

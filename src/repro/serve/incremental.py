@@ -42,7 +42,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
 
@@ -66,6 +66,7 @@ __all__ = [
     "rollback_mutations",
     "update_repair",
     "graph_fingerprint",
+    "wire_int",
     "MUTATION_OPS",
 ]
 
@@ -91,6 +92,17 @@ class ComputeAborted(ReproError):
     Raised between competition iterations; the server maps it to a
     ``deadline-exceeded`` response.
     """
+
+
+def wire_int(value: Any, what: str) -> int:
+    """A node id or seed read off the wire: an ``int`` that is not a ``bool``.
+
+    ``int()`` would quietly read ``1.9`` as node 1 and ``true`` as node 1;
+    anything but a plain integer is a :class:`BadRequestError` instead.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise BadRequestError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -125,10 +137,10 @@ class Mutation:
         try:
             return cls(
                 op=record["op"],
-                u=int(record["u"]),
-                v=int(record["v"]) if record.get("v") is not None else None,
+                u=wire_int(record["u"], "u"),
+                v=wire_int(record["v"], "v") if record.get("v") is not None else None,
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, BadRequestError) as exc:
             raise BadRequestError(f"malformed mutation {record!r}: {exc}") from None
 
     def to_dict(self) -> Dict:

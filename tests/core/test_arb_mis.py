@@ -130,14 +130,3 @@ class TestProfiles:
         assert report.parameters.theta >= 1
         assert len(report.partial.scale_stats) == report.parameters.theta
 
-
-class TestEngineSelection:
-    def test_bulk_engine_identical(self, starry_graph):
-        scalar = arb_mis(starry_graph, alpha=2, seed=3, engine="scalar")
-        bulk = arb_mis(starry_graph, alpha=2, seed=3, engine="bulk")
-        assert bulk.mis == scalar.mis
-        assert bulk.iterations == scalar.iterations
-
-    def test_unknown_engine_rejected(self, arb3_graph):
-        with pytest.raises(ConfigurationError):
-            arb_mis(arb3_graph, alpha=3, engine="quantum")

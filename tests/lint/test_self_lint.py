@@ -65,7 +65,7 @@ def test_both_rule_families_ran_on_the_tree():
         "repro.mpc.engines",
         "repro.mis.bulk",
         "repro.mis.csr",
-        "repro.core.bulk",
+        "repro.core.bounded_arb",
         "repro.graphs.csr",
     ):
         assert config.in_safety_scope(module), module

@@ -8,6 +8,12 @@ the four competition algorithms at seed 1 this module checks:
 * MPC at every shard count ≤ n, for n ≤ 4;
 * a SHA-256 digest of the scalar ``(sorted MIS, iterations)`` stream.
 
+For the pipeline names on the same 1,099 graphs:
+
+* ``arb_mis`` at α ∈ {1, 2} — a valid MIS, digested;
+* ``tree-independent-set`` on the forests among them (it refuses the
+  others by design) — a valid MIS, digested.
+
 and, for the repair passes built on the same competition:
 
 * every single mutation of every graph on n ≤ 5 (17,154 transitions)
@@ -33,7 +39,9 @@ import itertools
 import networkx as nx
 import pytest
 
+from repro.core.arb_mis import arb_mis
 from repro.core.repair import repair
+from repro.errors import GraphError
 from repro.mis.bulk import (
     ghaffari_mis_bulk,
     luby_a_mis_bulk,
@@ -43,6 +51,7 @@ from repro.mis.bulk import (
 from repro.mis.ghaffari import ghaffari_mis, ghaffari_mis_congest
 from repro.mis.luby import luby_a_mis, luby_a_mis_congest, luby_b_mis, luby_b_mis_congest
 from repro.mis.metivier import metivier_mis, metivier_mis_congest
+from repro.mis.tree import tree_mis
 from repro.mis.validation import assert_valid_mis
 from repro.mpc import run_sharded
 from repro.serve.incremental import (
@@ -79,6 +88,18 @@ OUTPUT_DIGESTS_N6 = {
     "luby-b": "e4d10dd4a7888993c071b99c4681504f4de9ddff72bfc373f4ba7fbbe941b650",
     "ghaffari": "b93fee9c0ead1ff097e7e75db69e234ae296c67f4fe621d356dfc8dc1e0d4c89",
 }
+
+#: SHA-256 of the ``(n, mask, sorted MIS, iterations, congest_rounds)``
+#: stream of ``arb_mis`` at each α over every labelled graph on 1–5 nodes.
+ARB_MIS_DIGESTS = {
+    1: "f9da246cc0ae0e707cf33c9203577548628fcf0c6ae082838f3b5ffce705b10e",
+    2: "78921de649ac76ceeedf3e365577daee215e16519bc6c40bf30df953b16af08e",
+}
+
+#: The same stream for ``tree-independent-set`` over the 339 forests.
+TREE_DIGEST = (
+    "63c196598df940738213fd855cba70e84e6f3131352367c231a4c76ee60fd7bd"
+)
 
 #: SHA-256 of every single-mutation update repair on n ≤ 5.
 UPDATE_REPAIR_DIGEST = (
@@ -149,6 +170,42 @@ def test_engines_agree_on_every_six_node_graph(algorithm, request):
     if "slow" not in request.config.getoption("markexpr"):
         pytest.skip("n = 6 enumeration runs under -m slow")
     assert _check_engines(algorithm, [6]) == OUTPUT_DIGESTS_N6[algorithm]
+
+
+def _pipeline_line(n, mask, result):
+    return (
+        f"{n}:{mask}:{sorted(result.mis)}:{result.iterations}:"
+        f"{result.congest_rounds}\n".encode()
+    )
+
+
+@pytest.mark.parametrize("alpha", sorted(ARB_MIS_DIGESTS))
+def test_arb_mis_on_every_graph_up_to_five_nodes(alpha):
+    digest = hashlib.sha256()
+    for n in range(1, 6):
+        for mask, graph in labelled_graphs(n):
+            result = arb_mis(graph, alpha=alpha, seed=SEED)
+            assert_valid_mis(graph, result.mis)
+            digest.update(_pipeline_line(n, mask, result))
+    assert digest.hexdigest() == ARB_MIS_DIGESTS[alpha]
+
+
+def test_tree_independent_set_on_every_forest_up_to_five_nodes():
+    digest = hashlib.sha256()
+    forests = refused = 0
+    for n in range(1, 6):
+        for mask, graph in labelled_graphs(n):
+            if not nx.is_forest(graph):
+                with pytest.raises(GraphError):
+                    tree_mis(graph, seed=SEED)
+                refused += 1
+                continue
+            result = tree_mis(graph, seed=SEED)
+            assert_valid_mis(graph, result.mis)
+            digest.update(_pipeline_line(n, mask, result))
+            forests += 1
+    assert (forests, refused) == (339, 760)
+    assert digest.hexdigest() == TREE_DIGEST
 
 
 @pytest.mark.parametrize("algorithm", sorted(ENGINES))

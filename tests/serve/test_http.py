@@ -221,6 +221,42 @@ class TestBodies:
 
         run_with_frontend(scenario)
 
+    def test_non_integer_ids_and_seeds_are_400_not_coerced(self):
+        # int() used to commit edge 1-2 for u = 1.9, read true as node 1
+        # and a float seed as its floor.
+        def scenario(port, service):
+            for fields in (
+                {"edges": [[1.9, 2]]},
+                {"edges": [[True, 2]]},
+                {"edges": [["1", 2]]},
+                {"seed": 1.5},
+                {"seed": True},
+                {"seed": "7"},
+            ):
+                status, body, _ = request(
+                    port, "POST", "/v1/sessions", {"name": "c", **fields}
+                )
+                assert status == 400, (fields, body)
+                assert body["error"]["code"] == "bad-request"
+            assert service.sessions == {}
+
+            request(port, "POST", "/v1/sessions", {"name": "s", "edges": [[0, 1]]})
+            epoch = service.sessions["s"].snapshot["epoch"]
+            for mutation in (
+                {"op": "add-edge", "u": 1.9, "v": 2},
+                {"op": "add-node", "u": True},
+                {"op": "add-edge", "u": 2.5, "v": 2.1},
+            ):
+                status, body, _ = request(
+                    port, "POST", "/v1/sessions/s/mutations", {"mutations": [mutation]}
+                )
+                assert status == 400, (mutation, body)
+                assert body["error"]["code"] == "bad-request"
+            assert service.sessions["s"].snapshot["epoch"] == epoch
+            assert sorted(service.sessions["s"].session.graph.nodes) == [0, 1]
+
+        run_with_frontend(scenario)
+
 
 class TestErrorStatuses:
     def test_conflict_and_bad_request(self):

@@ -58,6 +58,23 @@ class TestMutation:
         with pytest.raises(BadRequestError):
             mutations_from_records([{"u": 1}])
 
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"op": "add-edge", "u": 1.9, "v": 2},
+            {"op": "add-edge", "u": 2, "v": 1.0},
+            {"op": "add-node", "u": True},
+            {"op": "add-edge", "u": 1, "v": False},
+            {"op": "add-edge", "u": 2.5, "v": 2.1},
+            {"op": "remove-node", "u": "3"},
+        ],
+    )
+    def test_non_integer_node_ids_rejected_not_coerced(self, record):
+        # int() used to read 1.9 and true as node 1, and refuse 2.5-2.1
+        # as a "self-loop 2-2".
+        with pytest.raises(BadRequestError, match="must be an integer"):
+            Mutation.from_dict(record)
+
 
 class TestApplyMutations:
     def test_damaged_set_covers_endpoints(self):
