@@ -108,8 +108,8 @@ GRIDS: Dict[str, List[dict]] = {
     # same seeded workload (repro.serve.loadgen) to a session that always
     # repairs incrementally and one that always recomputes; the gated
     # "iterations" field is the total CONGEST rounds over the churn
-    # epochs, so any drift in the repair algorithm (eviction, competition
-    # keys, fallback policy) trips the determinism check.
+    # epochs, so any drift in the repair algorithm (waves, priorities,
+    # fallback policy) trips the determinism check.
     "e21": [
         {"algorithm": "serve-repair", "n": 400, "seed": 0, "churn": 2, "epochs": 12},
         {"algorithm": "serve-recompute", "n": 400, "seed": 0, "churn": 2, "epochs": 12},

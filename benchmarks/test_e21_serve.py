@@ -8,6 +8,13 @@ two sessions — one that always repairs (``repair_damage_cap=1.0``) and
 one that always recomputes (``repair_damage_cap=0.0``) — across a sweep
 of churn rates, and the repaired rounds-per-update must stay below the
 recompute line at every churn rate, most decisively at the highest.
+Both sessions serve the greedy MIS of one fixed priority order, so they
+must also commit the same MIS after every epoch.
+
+A second table checks the recompute's depth: the parallel greedy MIS of
+a random order needs O(log n) iterations (Fischer–Noever,
+arXiv:1707.05124), and the recompute of an arboricity-2 graph must take
+at most log₂ n of them at n = 10², 10³ and 10⁴.
 
 Everything is deterministic (keyed RNG end to end), so the row contents
 are reproducible bit-for-bit; the committed throughput baseline lives in
@@ -17,9 +24,12 @@ are reproducible bit-for-bit; the committed throughput baseline lives in
 
 from __future__ import annotations
 
+import math
 import time
 
 from _common import emit
+from repro.core.parameters import ROUNDS_PER_ITERATION
+from repro.graphs import bounded_arboricity_graph
 from repro.mis.validation import assert_valid_mis
 from repro.serve.incremental import GraphSession, Mutation
 from repro.serve.loadgen import LoadGenConfig, initial_edges, mutation_batches
@@ -28,6 +38,7 @@ NODES = 400
 EPOCHS = 15
 CHURNS = [2, 8, 16]
 SEED = 0
+DEPTH_SIZES = [10**2, 10**3, 10**4]
 
 
 def run_churn(mode: str, churn: int):
@@ -38,11 +49,13 @@ def run_churn(mode: str, churn: int):
     bootstrap = [Mutation("add-edge", u, v) for u, v in initial_edges(config)]
     session.apply_epoch(bootstrap)
     rounds = updates = 0
+    history = []
     start = time.perf_counter()
     for batch in mutation_batches(config):
         report = session.apply_epoch(batch)
         rounds += report.rounds
         updates += report.mutations
+        history.append(session.mis)
     seconds = time.perf_counter() - start
     assert_valid_mis(session.graph, set(session.mis))
     return {
@@ -52,6 +65,7 @@ def run_churn(mode: str, churn: int):
         "mis_size": len(session.mis),
         "seconds": seconds,
         "fingerprint": session.fingerprint,
+        "history": history,
     }
 
 
@@ -75,10 +89,12 @@ def test_e21_repair_beats_recompute_under_churn(benchmark):
                 }
             )
         by_churn[churn] = pair
-        # Both maintenance modes walk the graph through identical states.
+        # Both maintenance modes walk the graph through identical states,
+        # and commit the same MIS after every epoch.
         assert (
             pair["repair"]["fingerprint"] == pair["recompute"]["fingerprint"]
         ), churn
+        assert pair["repair"]["history"] == pair["recompute"]["history"], churn
     emit(
         "e21_serve_churn",
         rows,
@@ -115,3 +131,32 @@ def test_e21_repair_cost_tracks_churn_not_graph_size():
             for batch in mutation_batches(config)
         )
     assert totals[2 * NODES] < 2 * totals[NODES], totals
+
+
+def test_e21_recompute_depth_is_logarithmic():
+    """The recompute is the parallel greedy MIS of a random order: its
+    iteration count (3 rounds each) is the greedy depth, ≤ log₂ n."""
+    rows = []
+    for n in DEPTH_SIZES:
+        graph = bounded_arboricity_graph(n, 2, seed=SEED)
+        session = GraphSession("e21-depth", seed=SEED, repair_damage_cap=0.0)
+        report = session.apply_epoch(
+            [Mutation("add-node", v) for v in graph]
+            + [Mutation("add-edge", u, v) for u, v in graph.edges]
+        )
+        assert report.mode == "recompute"
+        iterations = report.rounds // ROUNDS_PER_ITERATION
+        rows.append(
+            {
+                "n": n,
+                "iterations": iterations,
+                "log2 n": round(math.log2(n), 2),
+                "|MIS|": report.mis_size,
+            }
+        )
+        assert iterations <= math.log2(n), (n, iterations)
+    emit(
+        "e21_serve_depth",
+        rows,
+        f"E21: recompute iterations vs log2 n (arboricity 2, seed={SEED})",
+    )

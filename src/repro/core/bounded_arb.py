@@ -95,6 +95,8 @@ class BoundedArbResult:
     bad_set: Set[int]
     residual: Set[int]
     parameters: Parameters
+    #: Competition iterations run until the last node left the
+    #: competition; the schedule length is ``parameters.total_iterations()``.
     iterations: int
     seed: int
     scale_stats: List[ScaleStats] = field(default_factory=list)
@@ -324,6 +326,20 @@ class BoundedArbNodeProgram(NodeAlgorithm):
         global_iteration = scale_index * self.params.lambda_iterations + iteration_in_scale
         return scale_index + 1, phase, global_iteration
 
+    def iterations_until(self, rounds: int) -> int:
+        """Competition iterations run before the last node halted.
+
+        ``rounds`` is the run's round count, so the last node halted in
+        round ``rounds - 1``: during an iteration's keys, decide or notify
+        round, that iteration counts; at a scale boundary, every
+        iteration of the scales so far does.  This is what the fast
+        engine reports as ``iterations`` with ``early_exit`` off.
+        """
+        if rounds == 0:
+            return 0
+        _, phase, iteration = self._locate(rounds - 1)
+        return iteration + 1 if phase < _PHASE_DEGREES else iteration
+
     def on_start(self, ctx: NodeContext) -> None:
         ctx.state["active_neighbors"] = set(ctx.neighbors)
         ctx.state["my_key"] = None
@@ -421,13 +437,12 @@ def bounded_arb_congest(
         elif out[0] == "residual":
             residual.add(v)
 
-    result = BoundedArbResult(
+    return BoundedArbResult(
         independent_set=independent,
         bad_set=bad,
         residual=residual,
         parameters=params,
-        iterations=params.total_iterations(),
+        iterations=program.iterations_until(run.metrics.rounds),
         seed=seed,
         extra={"congest_rounds": run.metrics.rounds, "metrics": run.metrics},
     )
-    return result

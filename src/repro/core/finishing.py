@@ -26,7 +26,7 @@ returning.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Set
+from typing import Dict, Optional, Set
 
 import networkx as nx
 
@@ -66,22 +66,15 @@ def restricted_metivier_mis(
     seed: int,
     tag: int,
     max_iterations: int = 10_000,
-    checkpoint: Optional[Callable[[int], None]] = None,
 ) -> tuple:
     """Métivier competition on G[nodes], with ``blocked`` nodes unable to
     join (they are already dominated by earlier stages) and absent from
     the competition graph entirely.
 
-    ``checkpoint(iteration)``, when given, runs at the start of every
-    iteration and may raise to stop the competition (the serving layer's
-    cooperative cancellation).
-
     Returns (independent set, iterations used).
     """
 
     def step(iteration, active, adjacency):
-        if checkpoint is not None:
-            checkpoint(iteration)
         keys = {v: (priority_draw(seed, v, iteration, tag=tag), v) for v in active}
         return competition_winners(active, adjacency, keys)
 

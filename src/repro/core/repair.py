@@ -28,7 +28,7 @@ same MIS.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, Any, Dict, Iterable, Optional, Sequence, Set, Tuple
+from typing import AbstractSet, Any, Dict, Iterable, Optional, Set, Tuple
 
 import networkx as nx
 
@@ -42,27 +42,11 @@ __all__ = [
     "claimed_members",
     "validate_under_faults",
     "repair",
-    "evict_conflicts",
 ]
 
 #: Keyed-RNG tag for repair priorities; distinct from the finishing tags
 #: (41/43) so a repair pass never replays a finishing stage's coins.
 _REPAIR_TAG = 47
-
-
-def evict_conflicts(
-    edges: Sequence[Tuple[int, int]], seed: int, tag: int
-) -> Set[int]:
-    """The eviction round shared by crash and churn repair.
-
-    Both endpoints of a member–member edge observe the conflict; the one
-    with the lower keyed priority ``(priority_draw(seed, v, 0, tag), v)``
-    withdraws.  Returns the withdrawn nodes (empty when ``edges`` is).
-    """
-    priority = {
-        v: (priority_draw(seed, v, 0, tag=tag), v) for edge in edges for v in edge
-    }
-    return {u if priority[u] < priority[v] else v for u, v in edges}
 
 
 def claimed_members(outputs: Dict[int, Any], survivors: AbstractSet[int]) -> Set[int]:
@@ -207,11 +191,18 @@ def repair(
             after=before,
         )
 
-    # Round 1 (eviction).  Per-edge local decisions can over-evict (a
-    # node may lose one conflict while its other conflict partner also
-    # withdraws) — safe, because anything left undominated is re-covered
-    # below.
-    evicted = evict_conflicts(before.violating_edges, seed, _REPAIR_TAG)
+    # Round 1 (eviction).  Both endpoints of a member–member edge observe
+    # the conflict; the one with the lower keyed priority withdraws.
+    # Per-edge local decisions can over-evict (a node may lose one
+    # conflict while its other conflict partner also withdraws) — safe,
+    # because anything left undominated is re-covered below.
+    violating = before.violating_edges
+    priority = {
+        v: (priority_draw(seed, v, 0, tag=_REPAIR_TAG), v)
+        for edge in violating
+        for v in edge
+    }
+    evicted = {u if priority[u] < priority[v] else v for u, v in violating}
     members -= evicted
 
     # Remaining rounds: restricted Métivier competition over survivors that
@@ -232,7 +223,7 @@ def repair(
 
     repaired_outputs = {v: ("mis",) if v in final else ("dominated",) for v in survivors}
     after = validate_under_faults(graph, repaired_outputs, crashed)
-    repair_rounds = (1 if before.violating_edges else 0) + (
+    repair_rounds = (1 if violating else 0) + (
         ROUNDS_PER_ITERATION * iterations
     )
     return RepairReport(

@@ -3,9 +3,10 @@
 The package turns the batch reproduction pipeline into a long-running
 service with incremental repair under churn:
 
-* :mod:`repro.serve.incremental` — dynamic-graph sessions with
-  update-repair (evict the damaged neighborhood, re-run a restricted
-  Métivier pass) and automatic full-recompute fallback;
+* :mod:`repro.serve.incremental` — dynamic-graph sessions that keep
+  the greedy MIS of one fixed priority order, repaired in waves that
+  spread from the damaged nodes, with a full-recompute fallback that
+  commits the same set;
 * :mod:`repro.serve.server` — the protocol-agnostic asyncio core:
   bounded admission, deadlines with cooperative cancellation, keyed
   retry backoff, mutation coalescing, queries served from each

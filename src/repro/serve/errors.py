@@ -8,7 +8,7 @@ engine-raised :class:`~repro.errors.AlgorithmError`,
 :class:`~repro.errors.CommBudgetExceededError`, and friends are wrapped
 in :class:`EngineFailure` at the executor boundary and travel back to the
 caller as a structured failure response while the server keeps serving
-(a regression test pins this for a budget-exceeded MPC request).
+(regression tests pin this with injected engine failures).
 
 The hierarchy doubles as the degradation-ladder vocabulary
 (docs/serving.md): ``engine-failed`` (repeated, it opens the session's

@@ -14,7 +14,7 @@ Routes::
     GET    /readyz                       readiness probe (200 or 503)
     GET    /metrics                      Prometheus text exposition
     GET    /v1/sessions                  list session names
-    POST   /v1/sessions                  create {name, edges, seed, ...}
+    POST   /v1/sessions                  create {name, edges, seed, deadline_s}
     DELETE /v1/sessions/<name>           drop
     GET    /v1/sessions/<name>/mis       query the maintained MIS
     POST   /v1/sessions/<name>/mutations mutate {mutations: [...], deadline_s}
@@ -24,7 +24,9 @@ header at the admission watermark, ``504`` on deadline, ``503`` for
 circuit-open.  Framing errors are answered and the connection
 closed (never silently truncated, which would desync keep-alive):
 ``400`` for a malformed ``Content-Length`` or a body that is not a JSON
-object, ``413`` for a body over the 8 MiB cap.
+object, ``413`` for a body over the 8 MiB cap.  A request that sends
+``Connection: close`` is answered with ``Connection: close`` and the
+connection is closed after it (RFC 9112 §9.6).
 """
 
 from __future__ import annotations
@@ -106,11 +108,15 @@ class HttpFrontend:
                     break
                 if parsed is None:
                     break
-                method, path, body = parsed
+                method, path, body, close = parsed
                 status, payload, headers = await self._dispatch(
                     method, path, body
                 )
+                if close:
+                    headers["Connection"] = "close"
                 await self._write_response(writer, status, payload, headers)
+                if close:
+                    break
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
         finally:
@@ -145,7 +151,11 @@ class HttpFrontend:
 
     async def _read_request(
         self, reader: asyncio.StreamReader
-    ) -> Optional[Tuple[str, str, Dict[str, Any]]]:
+    ) -> Optional[Tuple[str, str, Dict[str, Any], bool]]:
+        """``(method, path, body, close)``, or None at end of stream.
+
+        ``close`` is True when the client sent ``Connection: close``.
+        """
         line = await reader.readline()
         if not line:
             return None
@@ -154,12 +164,16 @@ class HttpFrontend:
         except ValueError:
             return None
         content_length = 0
+        close = False
         for _ in range(_MAX_HEADER_LINES):
             header = await reader.readline()
             if header in (b"\r\n", b"\n", b""):
                 break
             name, _, value = header.decode().partition(":")
-            if name.strip().lower() == "content-length":
+            name = name.strip().lower()
+            if name == "connection":
+                close = "close" in {o.strip().lower() for o in value.split(",")}
+            elif name == "content-length":
                 try:
                     content_length = int(value.strip() or 0)
                 except ValueError:
@@ -188,7 +202,7 @@ class HttpFrontend:
                 raise _bad_request("body is not valid JSON") from None
             if not isinstance(body, dict):
                 raise _bad_request("body must be a JSON object")
-        return method.upper(), path, body
+        return method.upper(), path, body, close
 
     # -- routing --------------------------------------------------------------
 
@@ -211,14 +225,12 @@ class HttpFrontend:
             try:
                 request = Request(
                     op="create",
-                    session=str(body.get("name", "")),
+                    session=body.get("name"),
                     edges=tuple(
                         (wire_int(u, "edge endpoint"), wire_int(v, "edge endpoint"))
                         for u, v in body.get("edges", [])
                     ),
                     seed=wire_int(body.get("seed", 0), "seed"),
-                    algorithm=str(body.get("algorithm", "metivier")),
-                    engine=body.get("engine"),
                     deadline_s=body.get("deadline_s"),
                 )
             except (TypeError, ValueError, BadRequestError):

@@ -1,58 +1,58 @@
 """Incremental MIS maintenance under churn — the serving layer's core.
 
-The paper's algorithms assume a static input, but Ghaffari's
-local-complexity view (arXiv:1506.05093) observes that the residual
-instance after partial progress is itself an MIS instance.  That is
-exactly the property this module exploits: after a batch of graph
-mutations, the *damaged neighborhood* (mutation endpoints plus fallout)
-is a small residual MIS instance, and an MIS of the new graph is
-recovered by
+Each session fixes one priority per node,
 
-1. an **eviction round** — every new member–member edge (only edge
-   insertions can create one) is resolved by keyed priority, the loser
-   withdraws — followed by
-2. a **restricted Métivier competition** over the nodes left
-   undominated (eviction fallout, nodes whose dominator was deleted,
-   fresh nodes).
+    π(v) = (priority_draw(seed, v, 0, tag=53), v),
 
-Both steps are the crash repair's own code — the eviction round is
-:func:`repro.core.repair.evict_conflicts` and the competition is
-:func:`repro.core.finishing.restricted_metivier_mis` — called on a
-dedicated tag and driven by *update* faults instead of crashes.
+and serves the **greedy MIS of that order**: ``v`` is a member iff no
+higher-π neighbour is.  That set is a function of the current graph and
+the session seed alone — not of the mutation history, of how mutations
+were batched into epochs, or of whether repair or recompute produced it.
+It is what Métivier's competition computes when every node keeps its
+first key instead of redrawing one per iteration: the parallel
+randomized greedy MIS, whose depth is O(log n) (Fischer–Noever,
+arXiv:1707.05124) and which changes O(1) nodes per update in expectation
+(Censor-Hillel–Haramaty–Karnin, arXiv:1507.04330).  Any node can compute
+any neighbour's π from its id, so no key is ever exchanged.
 
-Costs are reported in honest CONGEST rounds: one eviction round when an
-eviction happened plus ``ROUNDS_PER_ITERATION`` per competition
-iteration — the ``repair_rounds`` metric the E21 benchmark compares
-against recompute-from-scratch across churn rates.
+**Round accounting.**  :func:`update_repair` runs synchronous *waves*,
+and each wave is one CONGEST round:
 
-Determinism: epoch ``k`` of a session draws every coin from
-``derive_seed(seed, k)`` under a dedicated tag, so same-seed mutation
-sequences repair identically — the Hypothesis suite pins repair ≡ valid
-MIS and same-seed obs-stream identity on top of this.
+* wave 1 re-evaluates the damaged nodes (mutation endpoints, inserted
+  nodes, former neighbours of deleted nodes) against their higher-π
+  neighbours' membership;
+* each later wave re-evaluates the lower-π neighbours of the nodes that
+  flipped in the wave before — the flip is the one message they receive;
+* the repair ends after a wave that leaves nobody to re-evaluate: nothing
+  flipped in it, or no node that flipped has a lower-π neighbour.
 
-:class:`GraphSession` owns one named dynamic graph and implements the
-compute half of the degradation ladder: incremental repair, with
-automatic fallback to **full recompute** when the repair budget (damage
-fraction or competition iterations) is exceeded, and
-``assert_valid_mis`` validation after *every* epoch.
+``repair_rounds`` is the number of waves, and nothing else is charged.
+A full recompute (:meth:`GraphSession._recompute`) runs the scalar
+competition loop :func:`repro.mis.engine.run_competition` with every key
+fixed at π(v), charged ``ROUNDS_PER_ITERATION`` rounds per iteration.
+It returns the same set, so the damage cap and the wave budget decide
+what an epoch costs, never what it commits.
+
+:class:`GraphSession` owns one named dynamic graph: transactional
+epochs, the repair → recompute fallback when the damage fraction or the
+wave budget is exceeded, and ``assert_valid_mis`` after *every* epoch.
 """
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
 
-from repro.core.finishing import restricted_metivier_mis
 from repro.core.parameters import ROUNDS_PER_ITERATION
-from repro.core.repair import evict_conflicts
 from repro.errors import ReproError
+from repro.mis.engine import competition_winners, run_competition
 from repro.mis.validation import assert_valid_mis
 from repro.obs.trace import SPAN_SERVE_RECOMPUTE, SPAN_SERVE_REPAIR
-from repro.rng import derive_seed
+from repro.rng import priority_draw
 from repro.serve.errors import BadRequestError
 
 __all__ = [
@@ -66,11 +66,12 @@ __all__ = [
     "rollback_mutations",
     "update_repair",
     "graph_fingerprint",
+    "priority",
     "wire_int",
     "MUTATION_OPS",
 ]
 
-#: Keyed-RNG tag for update-repair priorities; distinct from the crash
+#: Keyed-RNG tag of the session priority π; distinct from the crash
 #: repair tag (47) and the finishing tags (41/43) so churn repair never
 #: replays another stage's coins.
 _UPDATE_TAG = 53
@@ -79,7 +80,7 @@ MUTATION_OPS = ("add-node", "remove-node", "add-edge", "remove-edge")
 
 
 class RepairBudgetExceeded(ReproError):
-    """Internal signal: incremental repair would exceed its budget.
+    """Internal signal: incremental repair would exceed its wave budget.
 
     Callers (the session's epoch loop) catch this and fall back to a
     full recompute — it never escapes the serving layer.
@@ -89,7 +90,7 @@ class RepairBudgetExceeded(ReproError):
 class ComputeAborted(ReproError):
     """Cooperative cancellation: the abort callback returned True.
 
-    Raised between competition iterations; the server maps it to a
+    Raised before a repair wave or a recompute; the server maps it to a
     ``deadline-exceeded`` response.
     """
 
@@ -103,6 +104,11 @@ def wire_int(value: Any, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise BadRequestError(f"{what} must be an integer, got {value!r}")
     return value
+
+
+def priority(seed: int, node: int) -> Tuple[int, int]:
+    """π(node): the fixed priority the session's greedy MIS is ordered by."""
+    return (priority_draw(seed, node, 0, tag=_UPDATE_TAG), node)
 
 
 @dataclass(frozen=True)
@@ -239,12 +245,12 @@ class UpdateRepairReport:
     """What one incremental-repair pass changed and what it cost."""
 
     mis: frozenset
+    #: Members that left the MIS (deleted nodes are not counted).
     evicted: frozenset
+    #: Nodes that joined the MIS.
     added: frozenset
-    #: CONGEST rounds distributed: one eviction round (only when a
-    #: member-member conflict existed) plus 3 per competition iteration.
+    #: CONGEST rounds distributed: one per wave.
     repair_rounds: int
-    iterations: int
     damaged: int
 
 
@@ -253,95 +259,57 @@ def update_repair(
     mis: Set[int],
     damaged: Set[int],
     seed: int,
-    epoch: int,
     max_iterations: int = 10_000,
     should_abort: Optional[Callable[[], bool]] = None,
 ) -> UpdateRepairReport:
-    """Repair ``mis`` after mutations that damaged ``damaged`` nodes.
+    """Restore the π-greedy MIS after mutations that damaged ``damaged``.
 
-    Generalizes :func:`repro.core.repair.repair` from crash faults to
-    update faults: only the damaged neighborhood is inspected, so the
-    cost scales with the churn, not the graph.  The eviction round is
-    :func:`repro.core.repair.evict_conflicts` and the re-cover pass is
-    :func:`repro.core.finishing.restricted_metivier_mis`, both on this
-    module's own tag and the epoch's seed.  Raises
-    :class:`RepairBudgetExceeded` when nodes are still active after
-    ``max_iterations`` competition iterations, and
-    :class:`ComputeAborted` when ``should_abort`` fires before the pass or
-    at the start of an iteration (cooperative cancellation).
+    ``mis`` is the π-greedy MIS of the graph before the mutations (nodes
+    deleted since may still be in it).  Only the damaged nodes can
+    disagree with their higher-π neighbours, so the waves of the module
+    docstring start there and spread only along flips, toward lower π:
+    the cost scales with the churn, not the graph.  Raises
+    :class:`RepairBudgetExceeded` when a wave is still due after
+    ``max_iterations`` waves, and :class:`ComputeAborted` when
+    ``should_abort`` fires before a wave (cooperative cancellation).
     """
-    epoch_seed = derive_seed(seed, epoch)
     members = {v for v in mis if graph.has_node(v)}
+    changed: Set[int] = set()
+    keys: Dict[int, Tuple[int, int]] = {}
 
-    # Empty damage: the old MIS survives verbatim, zero rounds.  (The
-    # same early-return contract the crash repair now honors.)
-    if not damaged:
-        return UpdateRepairReport(
-            mis=frozenset(members),
-            evicted=frozenset(),
-            added=frozenset(),
-            repair_rounds=0,
-            iterations=0,
-            damaged=0,
-        )
+    def key(v: int) -> Tuple[int, int]:
+        if v not in keys:
+            keys[v] = priority(seed, v)
+        return keys[v]
 
-    if should_abort is not None and should_abort():
-        raise ComputeAborted("update repair aborted before start")
-
-    # Eviction round: only an inserted edge can make two members
-    # adjacent, and both its endpoints are damaged, so scanning damaged
-    # members finds every conflict.
-    violating: List[Tuple[int, int]] = []
-    for v in sorted(members & damaged):
-        for u in graph.neighbors(v):
-            if u in members and (u > v or u not in damaged):
-                violating.append((v, u))
-    evicted = evict_conflicts(violating, epoch_seed, _UPDATE_TAG)
-    members -= evicted
-
-    # Undominated region: domination can only have changed for damaged
-    # nodes and the neighbors of evicted members.
-    candidates = set(damaged)
-    for v in evicted:
-        candidates.update(graph.neighbors(v))
-    candidates -= members
-    uncovered = {
-        v
-        for v in candidates
-        if not any(u in members for u in graph.neighbors(v))
-    }
-
-    def checkpoint(iteration: int) -> None:
-        if should_abort is not None and should_abort():
-            raise ComputeAborted(f"update repair aborted at iteration {iteration}")
-
-    added, iterations = restricted_metivier_mis(
-        graph,
-        uncovered,
-        blocked=set(),
-        seed=epoch_seed,
-        tag=_UPDATE_TAG,
-        max_iterations=max_iterations,
-        checkpoint=checkpoint,
-    )
-    if iterations == max_iterations:
-        # The competition stopped on its budget; nodes that neither joined
-        # nor neighbour a new member were still active.
-        covered = added.union(*(graph.adj[v] for v in added))
-        still_active = uncovered - covered
-        if still_active:
+    frontier = damaged
+    waves = 0
+    while frontier:
+        if waves == max_iterations:
             raise RepairBudgetExceeded(
-                f"update repair exceeded {max_iterations} iteration(s) "
-                f"with {len(still_active)} node(s) still active"
+                f"update repair exceeded {max_iterations} wave(s)"
             )
+        if should_abort is not None and should_abort():
+            raise ComputeAborted(f"update repair aborted before wave {waves + 1}")
+        waves += 1
+        # Synchronous: every node reads the membership the wave started
+        # with.  A node flips when it is a member with a higher-π member
+        # neighbour, or a non-member without one.
+        flipped = [
+            v
+            for v in frontier
+            if (v in members)
+            == any(u in members and key(u) > key(v) for u in graph.adj[v])
+        ]
+        members.symmetric_difference_update(flipped)
+        changed.symmetric_difference_update(flipped)
+        frontier = {u for v in flipped for u in graph.adj[v] if key(u) < key(v)}
 
     return UpdateRepairReport(
-        mis=frozenset(members | added),
-        evicted=frozenset(evicted),
-        added=frozenset(added),
-        repair_rounds=(1 if violating else 0)
-        + ROUNDS_PER_ITERATION * iterations,
-        iterations=iterations,
+        mis=frozenset(members),
+        evicted=frozenset(changed - members),
+        added=frozenset(changed & members),
+        repair_rounds=waves,
         damaged=len(damaged),
     )
 
@@ -355,9 +323,10 @@ class EpochReport:
     mode: str
     mutations: int
     damaged: int
-    #: Honest CONGEST-round cost of this epoch: repair rounds for the
-    #: incremental path, the engine's round count for recompute.
+    #: CONGEST-round cost of this epoch: the repair's waves, or
+    #: ``ROUNDS_PER_ITERATION`` per recompute iteration.
     rounds: int
+    #: Members that left the MIS, and nodes that joined it (repair only).
     evicted: int
     added: int
     mis_size: int
@@ -365,30 +334,26 @@ class EpochReport:
 
 
 class GraphSession:
-    """One named dynamic graph with an always-valid maintained MIS.
+    """One named dynamic graph and the π-greedy MIS of its current state.
 
     The session is the compute half of the serving layer: it owns the
     graph, the current MIS, the epoch counter, and the incremental →
-    recompute half of the degradation ladder.  It is synchronous and
-    single-writer — the asyncio service serializes epochs per session
-    (coalescing concurrent mutations into one epoch) and runs them on an
-    executor.
+    recompute half of the degradation ladder, whose two rungs commit the
+    same set.  It is synchronous and single-writer — the asyncio service
+    serializes epochs per session (coalescing concurrent mutations into
+    one epoch) and runs them on an executor.
     """
 
     def __init__(
         self,
         name: str,
         seed: int = 0,
-        algorithm: str = "metivier",
-        engine: Optional[str] = None,
         graph: Optional[nx.Graph] = None,
         repair_iteration_budget: int = 10_000,
         repair_damage_cap: float = 1.0,
     ):
         self.name = name
         self.seed = seed
-        self.algorithm = algorithm
-        self.engine = engine
         self.graph = graph if graph is not None else nx.Graph()
         self.epoch = 0
         #: Optional span tracer (set by the service); spans are recorded
@@ -417,20 +382,21 @@ class GraphSession:
     # -- compute --------------------------------------------------------------
 
     def _recompute(self, should_abort: Optional[Callable[[], bool]]) -> int:
-        """Full recompute of the MIS; returns its round cost."""
+        """Full recompute: the competition with every key fixed at π(v).
+
+        Returns its round cost.  The highest-π active node wins every
+        iteration, so ``n`` iterations always suffice.
+        """
         if should_abort is not None and should_abort():
             raise ComputeAborted("recompute aborted before start")
-        if self.graph.number_of_nodes() == 0:
-            self.mis = frozenset()
-            return 0
-        from repro.mis.registry import get_algorithm
-
-        fn = get_algorithm(self.algorithm, engine=self.engine)
-        result = fn(self.graph, seed=derive_seed(self.seed, self.epoch))
-        self.mis = frozenset(result.mis)
-        if result.congest_rounds is not None:
-            return result.congest_rounds
-        return ROUNDS_PER_ITERATION * result.iterations
+        keys = {v: priority(self.seed, v) for v in self.graph}
+        run = run_competition(
+            self.graph,
+            lambda _, active, adjacency: competition_winners(active, adjacency, keys),
+            max_iterations=self.graph.number_of_nodes(),
+        )
+        self.mis = frozenset(run.mis)
+        return ROUNDS_PER_ITERATION * run.iterations
 
     def _span(self, name: str):
         """A tracer span when tracing is on, else a no-op context."""
@@ -446,10 +412,10 @@ class GraphSession:
         """Commit one coalesced mutation batch as one epoch.
 
         Attempts incremental repair first; falls back to full recompute
-        when the damage fraction or the competition-iteration budget is
-        exceeded.  The resulting MIS is validated with
-        ``assert_valid_mis`` before the epoch commits — a serving layer
-        must never commit or return an invalid set.
+        when the damage fraction or the wave budget is exceeded.  Both
+        commit the π-greedy MIS of the mutated graph, which is validated
+        with ``assert_valid_mis`` before the epoch commits — a serving
+        layer must never commit or return an invalid set.
         """
         undo: List[Tuple] = []
         prev_mis = self.mis
@@ -471,7 +437,6 @@ class GraphSession:
                         set(self.mis),
                         damaged,
                         seed=self.seed,
-                        epoch=self.epoch,
                         max_iterations=self.repair_iteration_budget,
                         should_abort=should_abort,
                     )
@@ -488,8 +453,7 @@ class GraphSession:
             # mid-application, an aborted or failed compute, a validation
             # error — rolls the mutations and the MIS back, so the
             # session keeps a consistent (graph, mis, epoch) triple and a
-            # retry replays the exact same epoch (same coins, same
-            # damage).
+            # retry replays the exact same epoch.
             rollback_mutations(self.graph, undo)
             self.mis = prev_mis
             self._fingerprint = None
@@ -522,8 +486,6 @@ class GraphSession:
             "session": self.name,
             "epoch": self.epoch,
             "fingerprint": self.fingerprint,
-            "algorithm": self.algorithm,
-            "engine": self.engine or "scalar",
             "seed": self.seed,
             "nodes": self.graph.number_of_nodes(),
             "edges": self.graph.number_of_edges(),

@@ -15,8 +15,9 @@ Two driving modes:
 * **open-loop** — requests arrive on their seeded Poisson-ish schedule
   regardless of completions (``time_scale`` maps workload seconds to
   wall seconds; ``0`` collapses the schedule to "all at once", the
-  overload case).  Responses are still deterministic in *content* per
-  request id, but interleaving — and therefore coalescing — is not.
+  overload case).  Interleaving — and therefore coalescing — is not
+  deterministic, so neither is what an epoch costs; the MIS an epoch
+  commits depends only on the graph it commits, not on the coalescing.
 
 The CI ``serve-smoke`` job drives a burst with injected deadline
 violations and one forced engine failure and asserts the service answers
@@ -67,8 +68,6 @@ class LoadGenConfig:
     #: Open-loop arrival rate (requests per workload second).
     arrival_rate_hz: float = 200.0
     deadline_s: Optional[float] = None
-    algorithm: str = "metivier"
-    engine: Optional[str] = None
 
 
 def initial_edges(config: LoadGenConfig) -> Tuple[Tuple[int, int], ...]:
@@ -231,8 +230,6 @@ async def drive(
         session=config.session,
         edges=initial_edges(config),
         seed=config.seed,
-        algorithm=config.algorithm,
-        engine=config.engine,
     )
     response = await service.submit(create)
     report.record(response)

@@ -17,9 +17,8 @@ The resilience kit, rung by rung (docs/serving.md):
 * **Per-request deadlines with cooperative cancellation** — every
   request carries a deadline; expired queued requests are answered
   without running, and a running epoch whose waiters have all expired is
-  aborted between engine iterations (:func:`repro.serve.incremental.update_repair`
-  checks the abort callback at the start of every iteration of the shared
-  :func:`repro.core.finishing.restricted_metivier_mis` competition).
+  aborted between repair waves (:func:`repro.serve.incremental.update_repair`
+  checks the abort callback before every wave).
   A malformed ``deadline_s`` is refused as a bad request before
   admission.
 * **Retry with keyed-jitter backoff** — transient engine failures are
@@ -29,7 +28,9 @@ The resilience kit, rung by rung (docs/serving.md):
 * **Batching/coalescing** — concurrent mutation requests against one
   session are drained into a single epoch: one repair pass serves the
   whole batch, which is what keeps repair cost a function of churn
-  rather than request rate.
+  rather than request rate.  Coalescing changes what an epoch costs,
+  never the MIS it commits: that is the greedy MIS of the session's
+  fixed priority order on the committed graph.
 * **Committed snapshots** — each epoch builds its session's query body
   on the executor, in the same call that ran it, and the commit stores
   that one dict on the session's state.  A query answers with it and
@@ -39,8 +40,7 @@ The resilience kit, rung by rung (docs/serving.md):
 * **Circuit breaking** — repeated engine failures open a per-session
   breaker; compute is refused (queries are served stale instead) until a
   reset window elapses, then a half-open probe decides.
-* **Typed failures** — engine exceptions (including
-  :class:`~repro.errors.CommBudgetExceededError` from the MPC runtime)
+* **Typed failures** — exceptions raised while computing an epoch
   are wrapped at the executor boundary into structured ``engine-failed``
   responses; the event loop never sees them.
 * **Probes** — ``health()``/``ready()`` for liveness and readiness, and
@@ -59,8 +59,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.analysis.runner import FailurePolicy
-from repro.errors import ConfigurationError, ReproError
-from repro.mis.registry import get_algorithm
+from repro.errors import ReproError
 from repro.serve.errors import (
     BadRequestError,
     CircuitOpenError,
@@ -165,8 +164,6 @@ class Request:
     session: str = ""
     mutations: Tuple[Mutation, ...] = ()
     seed: int = 0
-    algorithm: str = "metivier"
-    engine: Optional[str] = None
     edges: Tuple[Tuple[int, int], ...] = ()
     deadline_s: Optional[float] = None
 
@@ -341,7 +338,7 @@ class MISService:
 
         The injected exception is a plain :class:`ReproError`, so it
         exercises the same wrap-retry-breaker path a real engine error
-        (``AlgorithmError``, ``CommBudgetExceededError``) takes.
+        takes.
         """
         self._inject_engine_failures += count
 
@@ -459,26 +456,23 @@ class MISService:
             raise SessionNotFoundError(f"no session named {name!r}") from None
 
     async def _handle_create(self, request: Request) -> Response:
-        if not request.session:
-            raise BadRequestError("create requires a session name")
+        name = request.session
+        if not isinstance(name, str) or not name or "/" in name:
+            # A "/" would split the name across HTTP path segments, so
+            # such a session could be created but never dropped.
+            raise BadRequestError(
+                f"session name must be a non-empty string without '/', got {name!r}"
+            )
         if request.session in self.sessions:
             raise SessionExistsError(
                 f"session {request.session!r} already exists"
             )
         deadline = self._deadline_of(request)
-        try:
-            # A client error, not an engine fault: refuse it before it
-            # takes an in-flight slot or reaches the retrying epoch path.
-            get_algorithm(request.algorithm, engine=request.engine)
-        except ConfigurationError as exc:
-            raise BadRequestError(str(exc)) from None
         self._admit()
         try:
             session = GraphSession(
                 name=request.session,
                 seed=request.seed,
-                algorithm=request.algorithm,
-                engine=request.engine,
                 repair_iteration_budget=self.config.repair_iteration_budget,
                 repair_damage_cap=self.config.repair_damage_cap,
             )

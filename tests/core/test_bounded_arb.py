@@ -137,12 +137,14 @@ class TestCongestEngine:
         assert fast.independent_set == slow.independent_set
         assert fast.bad_set == slow.bad_set
         assert fast.residual == slow.residual
+        assert fast.iterations == slow.iterations
 
     def test_identity_across_seeds(self, arb3_graph):
         for seed in (0, 1, 2):
             fast = bounded_arb_independent_set(arb3_graph, alpha=3, seed=seed)
             slow = bounded_arb_congest(arb3_graph, alpha=3, seed=seed)
             assert fast.independent_set == slow.independent_set
+            assert fast.iterations == slow.iterations
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_identical_on_arb_graphs(self, seed):
@@ -152,6 +154,7 @@ class TestCongestEngine:
         assert fast.independent_set == slow.independent_set
         assert fast.bad_set == slow.bad_set
         assert fast.residual == slow.residual
+        assert fast.iterations == slow.iterations
 
     @pytest.mark.parametrize("seed", [0, 3])
     def test_identical_on_starry_graphs(self, seed):
@@ -161,6 +164,7 @@ class TestCongestEngine:
         assert fast.independent_set == slow.independent_set
         assert fast.bad_set == slow.bad_set
         assert fast.residual == slow.residual
+        assert fast.iterations == slow.iterations
 
     def test_scale_stats_account_for_the_congest_sets(self, starry_graph):
         fast = bounded_arb_independent_set(starry_graph, alpha=2, seed=1)

@@ -127,6 +127,27 @@ def raw_request(port, data: bytes) -> bytes:
 
 
 class TestFraming:
+    def test_connection_close_is_answered_and_honoured(self):
+        # The connection used to stay open after the response, so a
+        # client reading to EOF hung (RFC 9112 §9.6).
+        def scenario(port, service):
+            with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+                sock.sendall(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n")
+                chunks = []
+                while True:
+                    try:
+                        chunk = sock.recv(65536)
+                    except socket.timeout:
+                        raise AssertionError("connection left open") from None
+                    if not chunk:
+                        break
+                    chunks.append(chunk)
+            raw = b"".join(chunks)
+            assert raw.startswith(b"HTTP/1.1 200 ")
+            assert b"Connection: close" in raw
+
+        run_with_frontend(scenario)
+
     def test_malformed_content_length_is_400_and_closes(self):
         def scenario(port, service):
             raw = raw_request(
@@ -200,23 +221,28 @@ class TestBodies:
 
         run_with_frontend(scenario)
 
-    def test_unknown_engine_or_algorithm_on_create_is_400(self):
+    def test_null_or_non_string_session_name_is_400(self):
+        # str() used to turn {"name": null} into a session named "None".
         def scenario(port, service):
-            for fields in (
-                {"engine": 5},
-                {"engine": "nope"},
-                {"algorithm": "no-such-alg"},
-            ):
+            for name in (None, 5, ["s"], ""):
                 status, body, _ = request(
-                    port,
-                    "POST",
-                    "/v1/sessions",
-                    {"name": "s", "edges": [[0, 1]], **fields},
+                    port, "POST", "/v1/sessions", {"name": name, "edges": [[0, 1]]}
                 )
-                assert status == 400, (fields, body)
+                assert status == 400, (name, body)
                 assert body["error"]["code"] == "bad-request"
-            assert service.counters.retries == 0
-            assert service.counters.engine_failures == 0
+            assert service.sessions == {}
+
+        run_with_frontend(scenario)
+
+    def test_session_name_with_a_slash_is_400(self):
+        # "a/b" could be created, queried and mutated, but DELETE
+        # /v1/sessions/a/b answered 404 no-route: it could never be dropped.
+        def scenario(port, service):
+            status, body, _ = request(
+                port, "POST", "/v1/sessions", {"name": "a/b", "edges": [[0, 1]]}
+            )
+            assert status == 400, body
+            assert body["error"]["code"] == "bad-request"
             assert service.sessions == {}
 
         run_with_frontend(scenario)

@@ -7,6 +7,7 @@ import networkx as nx
 import pytest
 
 from repro.core.parameters import ROUNDS_PER_ITERATION
+from repro.mis.greedy import greedy_mis
 from repro.mis.validation import assert_valid_mis
 from repro.serve.errors import BadRequestError
 from repro.serve.incremental import (
@@ -17,6 +18,7 @@ from repro.serve.incremental import (
     apply_mutations,
     graph_fingerprint,
     mutations_from_records,
+    priority,
     rollback_mutations,
     update_repair,
 )
@@ -128,65 +130,110 @@ class TestApplyMutations:
         assert graph_fingerprint(g) == before_fp
 
 
+def greedy(graph, seed):
+    """The oracle: the greedy MIS in descending session priority π."""
+    order = sorted(graph, key=lambda v: priority(seed, v), reverse=True)
+    return frozenset(greedy_mis(graph, order))
+
+
+def mutate_and_repair(graph, mutations, seed, **kwargs):
+    """Apply ``mutations`` to ``graph`` (in place) and repair its oracle MIS."""
+    mis = greedy(graph, seed)
+    damaged = apply_mutations(graph, mutations)
+    return mis, update_repair(graph, set(mis), damaged, seed=seed, **kwargs)
+
+
 class TestUpdateRepair:
     def test_empty_damage_is_free(self):
         g = nx.path_graph(5)
-        report = update_repair(g, {0, 2, 4}, set(), seed=0, epoch=0)
+        report = update_repair(g, {0, 2, 4}, set(), seed=0)
         assert report.repair_rounds == 0
         assert report.mis == frozenset({0, 2, 4})
 
     def test_inserted_edge_conflict_is_repaired(self):
-        g = nx.path_graph(5)
-        g.add_edge(0, 2)
-        report = update_repair(g, {0, 2, 4}, {0, 2}, seed=0, epoch=0)
-        assert_valid_mis(g, set(report.mis))
-        assert len(report.evicted) == 1
-        assert report.repair_rounds >= 1
+        g = nx.path_graph(8)
+        mis = greedy(g, 0)
+        u, v = sorted(mis)[:2]
+        _, report = mutate_and_repair(g, [Mutation("add-edge", u, v)], 0)
+        assert report.mis == greedy(g, 0)
+        # The new edge's lower-π endpoint now has a higher-π member
+        # neighbour, so it leaves.
+        assert min(u, v, key=lambda w: priority(0, w)) in report.evicted
 
     def test_deleted_dominator_recovers_coverage(self):
-        g = nx.path_graph(5)
-        g.remove_node(2)  # 2 dominated 1 and 3
-        report = update_repair(g, {0, 4}, {1, 3}, seed=0, epoch=0)
+        g = nx.path_graph(9)
+        member = sorted(greedy(g, 0))[1]
+        _, report = mutate_and_repair(g, [Mutation("remove-node", member)], 0)
+        assert report.mis == greedy(g, 0)
         assert_valid_mis(g, set(report.mis))
 
     def test_round_accounting(self):
+        # One round per wave, and one abort probe before each wave.
+        probes = []
+
+        def should_abort():
+            probes.append(1)
+            return False
+
+        for seed in range(10):
+            probes.clear()
+            g = nx.gnp_random_graph(40, 0.1, seed=seed)
+            _, report = mutate_and_repair(
+                g,
+                [Mutation("remove-node", 0), Mutation("add-edge", 1, 2)],
+                seed,
+                should_abort=should_abort,
+            )
+            assert report.repair_rounds == len(probes) >= 1
+
+    def test_a_wave_with_nothing_further_to_re_evaluate_is_the_last(self):
+        # Re-adding a present edge damages its endpoints, and neither flips.
         g = nx.path_graph(6)
-        g.add_edge(0, 2)
-        report = update_repair(g, {0, 2, 4}, {0, 2}, seed=0, epoch=0)
-        assert (
-            report.repair_rounds
-            == 1 + ROUNDS_PER_ITERATION * report.iterations
-        )
+        mis, report = mutate_and_repair(g, [Mutation("add-edge", 0, 1)], 3)
+        assert report.repair_rounds == 1 and report.mis == mis
+        # A fresh isolated node flips in, and has no neighbour to tell.
+        mis, report = mutate_and_repair(g, [Mutation("add-node", 99)], 3)
+        assert report.repair_rounds == 1
+        assert report.added == {99} and not report.evicted
 
     def test_repair_is_local(self):
         # Damage at one end of a long path leaves the far end untouched.
-        g = nx.path_graph(30)
-        mis = set(range(0, 30, 2))
-        g.add_edge(0, 2)
-        report = update_repair(g, mis, {0, 2}, seed=0, epoch=0)
-        assert set(range(10, 30, 2)) <= report.mis
+        g = nx.path_graph(60)
+        mis, report = mutate_and_repair(g, [Mutation("add-edge", 0, 2)], 0)
+        assert report.mis == greedy(g, 0)
+        assert report.evicted | report.added <= set(range(10))
+        assert {v for v in mis if v >= 10} <= report.mis
 
-    def test_epoch_keys_differ(self):
-        g = nx.gnp_random_graph(25, 0.2, seed=2)
-        mis = set()
-        damaged = set(g.nodes)
-        a = update_repair(g, mis, damaged, seed=7, epoch=0)
-        b = update_repair(g, mis, damaged, seed=7, epoch=1)
-        again = update_repair(g, mis, damaged, seed=7, epoch=0)
-        assert a.mis == again.mis  # same epoch → same coins
-        assert_valid_mis(g, set(b.mis))
+    def test_one_batch_equals_one_mutation_per_pass(self):
+        # The repaired set depends on the final graph only: the same
+        # mutations repaired as one batch or one at a time agree.
+        mutations = [
+            Mutation("add-edge", 0, 9),
+            Mutation("remove-node", 3),
+            Mutation("add-edge", 4, 30),
+            Mutation("remove-edge", 1, 2),
+            Mutation("add-node", 31),
+            Mutation("add-edge", 31, 5),
+        ]
+        batched = nx.gnp_random_graph(25, 0.2, seed=2)
+        stepped = batched.copy()
+        _, once = mutate_and_repair(batched, mutations, 7)
+        mis = greedy(stepped, 7)
+        for mutation in mutations:
+            damaged = apply_mutations(stepped, [mutation])
+            mis = update_repair(stepped, set(mis), damaged, seed=7).mis
+        assert once.mis == mis == greedy(batched, 7)
 
     def test_budget_exceeded_raises(self):
         g = nx.gnp_random_graph(30, 0.3, seed=3)
         with pytest.raises(RepairBudgetExceeded):
-            update_repair(g, set(), set(g.nodes), seed=0, epoch=0, max_iterations=0)
+            update_repair(g, set(), set(g.nodes), seed=0, max_iterations=0)
 
     def test_cooperative_abort(self):
         g = nx.gnp_random_graph(30, 0.3, seed=3)
         with pytest.raises(ComputeAborted):
             update_repair(
-                g, set(), set(g.nodes), seed=0, epoch=0,
-                should_abort=lambda: True,
+                g, set(), set(g.nodes), seed=0, should_abort=lambda: True
             )
 
 

@@ -2,10 +2,11 @@
 
 Two properties the whole design leans on:
 
-* **Validity under arbitrary churn** — for any mutation sequence, both
-  the incremental-repair path and the recompute-only path maintain a
-  valid MIS after every epoch, and a session that mixes the two via the
-  damage-cap ladder is valid as well.
+* **History independence** — for any mutation sequence, the committed
+  MIS after every epoch is the greedy MIS of the session's priority
+  order π on the committed graph: whether repair or recompute produced
+  it, however the mutations were batched, and after failed or aborted
+  epochs alike.
 * **Same-seed determinism** — driving the same seeded workload twice in
   lockstep produces identical obs event streams up to timestamps.
 """
@@ -13,16 +14,19 @@ Two properties the whole design leans on:
 from __future__ import annotations
 
 import asyncio
+import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.mis.greedy import greedy_mis
 from repro.mis.validation import assert_valid_mis
 from repro.obs.manifest import RunManifest
 from repro.obs.session import ObsSession
 from repro.obs.sinks import MemorySink
 from repro.obs.summary import diff_streams
-from repro.serve.incremental import GraphSession, Mutation
+from repro.serve.errors import BadRequestError
+from repro.serve.incremental import ComputeAborted, GraphSession, Mutation, priority
 from repro.serve.loadgen import LoadGenConfig, drive
 from repro.serve.server import MISService, ServeConfig
 
@@ -58,6 +62,21 @@ def _materialize(raw_batches):
     return batches
 
 
+def _oracle(session):
+    """The greedy MIS of the session's graph in descending π."""
+    graph = session.graph
+    order = sorted(graph, key=lambda v: priority(session.seed, v), reverse=True)
+    return frozenset(greedy_mis(graph, order))
+
+
+def _self_loop(u):
+    """A Mutation that fails at apply time (parse-time check bypassed)."""
+    m = object.__new__(Mutation)
+    for name, value in (("op", "add-edge"), ("u", u), ("v", u)):
+        object.__setattr__(m, name, value)
+    return m
+
+
 class TestValidityUnderChurn:
     @settings(max_examples=30, deadline=None)
     @given(raw=_batches, seed=st.integers(0, 2**16))
@@ -69,10 +88,11 @@ class TestValidityUnderChurn:
         for batch in batches:
             repairing.apply_epoch(list(batch))
             recomputing.apply_epoch(list(batch))
-            assert_valid_mis(repairing.graph, set(repairing.mis))
-            assert_valid_mis(recomputing.graph, set(recomputing.mis))
-            # Identical graphs regardless of how the MIS was maintained.
+            # Identical graphs regardless of how the MIS was maintained ...
             assert repairing.fingerprint == recomputing.fingerprint
+            # ... and the same MIS: the oracle's.
+            assert repairing.mis == recomputing.mis == _oracle(repairing)
+            assert_valid_mis(repairing.graph, set(repairing.mis))
 
     @settings(max_examples=20, deadline=None)
     @given(raw=_batches, seed=st.integers(0, 2**16))
@@ -81,7 +101,47 @@ class TestValidityUnderChurn:
         for batch in _materialize(raw):
             report = session.apply_epoch(list(batch))
             assert report.mode in ("repair", "recompute")
-            assert_valid_mis(session.graph, set(session.mis))
+            assert session.mis == _oracle(session)
+
+    @settings(max_examples=20, deadline=None)
+    @given(raw=_batches, seed=st.integers(0, 2**16))
+    def test_one_batch_and_one_per_epoch_end_on_the_same_mis(self, raw, seed):
+        batches = _materialize(raw)
+        coalesced = GraphSession("b", seed=seed)
+        stepped = GraphSession("e", seed=seed)
+        coalesced.apply_epoch([m for batch in batches for m in batch])
+        for mutation in itertools.chain.from_iterable(batches):
+            stepped.apply_epoch([mutation])
+        assert coalesced.fingerprint == stepped.fingerprint
+        assert coalesced.mis == stepped.mis == _oracle(stepped)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        raw=_batches,
+        seed=st.integers(0, 2**16),
+        failures=st.lists(st.integers(0, 3), min_size=6, max_size=6),
+    )
+    def test_failed_and_aborted_epochs_restore_the_oracle(self, raw, seed, failures):
+        # Before each committed batch, one epoch fails: it aborts at
+        # probe 0-2 (before the repair or between waves), or a
+        # self-loop fails it part-way through applying the batch.
+        session = GraphSession("f", seed=seed)
+        for batch, failure in zip(_materialize(raw), failures):
+            committed = (session.fingerprint, session.mis, session.epoch)
+            probes = itertools.count()
+            try:
+                if failure == 3:
+                    session.apply_epoch(list(batch) + [_self_loop(0)])
+                else:
+                    session.apply_epoch(
+                        list(batch),
+                        should_abort=lambda: next(probes) >= failure,
+                    )
+            except (ComputeAborted, BadRequestError):
+                assert (session.fingerprint, session.mis, session.epoch) == committed
+            assert session.mis == _oracle(session)
+            session.apply_epoch(list(batch))
+            assert session.mis == _oracle(session)
 
 
 def _drive_once(seed: int):

@@ -113,6 +113,7 @@ class TestDualEngineIdentity:
         assert fast.independent_set == slow.independent_set
         assert fast.bad_set == slow.bad_set
         assert fast.residual == slow.residual
+        assert fast.iterations == slow.iterations
 
 
 # -- structural properties -----------------------------------------------------
