@@ -35,7 +35,7 @@ def test_e3_alpha_dependence(benchmark):
         graphs = [bounded_arboricity_graph(N, alpha, seed=s) for s in SEEDS]
         params = compute_parameters(alpha, max_degree(graphs[0]), "practical")
         results = [arb_mis(g, alpha=alpha, seed=s) for g, s in zip(graphs, SEEDS)]
-        scale_iters = summarize([r.extra["report"].scale_iterations for r in results])
+        scale_iters = summarize([r.extra["report"].partial.iterations for r in results])
         total_iters = summarize([r.iterations for r in results])
         measured_means.append(total_iters.mean)
         rows.append(

@@ -31,9 +31,7 @@ def main() -> None:
         f"m={graph.number_of_edges()}, Delta={max_degree(graph)} ({hubs} hubs)"
     )
 
-    result = arb_mis(
-        graph, alpha=alpha, seed=seed, apply_degree_reduction=False, early_exit=False
-    )
+    result = arb_mis(graph, alpha=alpha, seed=seed, apply_degree_reduction=False)
     assert_valid_mis(graph, result.mis)
     report = result.extra["report"]
     params = report.parameters
@@ -122,7 +120,6 @@ def main() -> None:
         seed=seed,
         parameters=crippled,
         apply_degree_reduction=False,
-        early_exit=False,
     )
     assert_valid_mis(adversarial, stressed.mis)
     sreport = stressed.extra["report"]

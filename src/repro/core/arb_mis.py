@@ -19,7 +19,7 @@ degree-reduction iterations — all measured per run, never modeled.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Dict, Optional
 
 import networkx as nx
@@ -71,7 +71,6 @@ class ArbMISReport:
     reduction: Optional[DegreeReductionResult]
     partial: BoundedArbResult
     finishing: FinishReport
-    scale_iterations: int
     congest_rounds_estimate: int
 
     def stage_summary(self) -> str:
@@ -100,7 +99,6 @@ def arb_mis(
     seed: int = 0,
     profile: str = "practical",
     p_constant: int = 1,
-    early_exit: bool = True,
     apply_degree_reduction: bool = True,
     parameters: Optional[Parameters] = None,
     validate: bool = True,
@@ -110,10 +108,12 @@ def arb_mis(
     """Compute an MIS of ``graph`` with the paper's full pipeline.
 
     Algorithm 1 runs on its one fast engine, the columnar
-    :func:`~repro.core.bounded_arb.bounded_arb_independent_set`; there is
-    no engine option.  Its CONGEST program
+    :func:`~repro.core.bounded_arb.bounded_arb_independent_set`, on the
+    paper's fixed Θ·Λ schedule; there is no engine or schedule option.
+    Its CONGEST program
     (:class:`~repro.core.bounded_arb.BoundedArbNodeProgram`) is the
-    fidelity anchor the tests compare it against.
+    fidelity anchor: on every graph with n ≤ 5 this stage's
+    ``(I, B, VIB, iterations)`` equals it (tested exhaustively).
 
     Parameters
     ----------
@@ -125,9 +125,6 @@ def arb_mis(
     profile:
         ``"practical"`` (default) or ``"paper"`` parameters
         (:mod:`repro.core.parameters`).
-    early_exit:
-        Let scales end early once the Invariant already holds everywhere
-        (pure optimization; disable to mirror the CONGEST schedule).
     apply_degree_reduction:
         Run the Theorem-7.2-style preprocessing when Δ exceeds
         ``α·2^sqrt(log n log log n)`` (a verified no-op otherwise).
@@ -178,18 +175,11 @@ def arb_mis(
             alpha=alpha,
             seed=seed,
             parameters=params,
-            early_exit=early_exit,
         )
     # Fold the preprocessing's independent set in before finishing, so the
     # finishing stages treat its members and their neighbors as decided.
-    partial_for_finish = BoundedArbResult(
-        independent_set=partial.independent_set | pre_selected,
-        bad_set=partial.bad_set,
-        residual=partial.residual,
-        parameters=partial.parameters,
-        iterations=partial.iterations,
-        seed=partial.seed,
-        scale_stats=partial.scale_stats,
+    partial_for_finish = replace(
+        partial, independent_set=partial.independent_set | pre_selected
     )
     with _phase(observer, PHASE_FINISHING):
         finishing = finish(
@@ -213,7 +203,6 @@ def arb_mis(
         reduction=reduction,
         partial=partial,
         finishing=finishing,
-        scale_iterations=partial.iterations,
         congest_rounds_estimate=congest_rounds,
     )
     return MISResult(

@@ -17,18 +17,17 @@ Engines
 * :func:`bounded_arb_independent_set` — the fast engine: each iteration
   is a handful of segment reductions over the columnar substrate
   (:mod:`repro.mis.csr`), on a networkx graph or a prebuilt
-  :class:`~repro.graphs.csr.CSRGraph`.  It returns per-scale statistics
-  and has an ``early_exit`` optimization (skip the remaining iterations of
-  a scale once every active node already satisfies the Invariant; off by
-  default, and off in the tests that compare against the CONGEST engine,
-  since skipping shifts the randomness schedule);
+  :class:`~repro.graphs.csr.CSRGraph`.  It returns per-scale statistics;
 * :class:`BoundedArbNodeProgram` — the CONGEST engine and fidelity
-  anchor: with ``early_exit`` off the fast engine's ``(I, B, VIB)`` is
-  bit-identical to it (tested).  Each scale costs 3Λ + 2 rounds: 3 per
-  iteration (keys / decide / notify) plus a degree exchange and a
-  bad-announcement round at the scale boundary.
+  anchor: the fast engine's ``(I, B, VIB, iterations)`` is bit-identical
+  to it (tested exhaustively on n ≤ 5 through ``arb_mis``).  Each scale
+  costs 3Λ + 2 rounds: 3 per iteration (keys / decide / notify) plus a
+  degree exchange and a bad-announcement round at the scale boundary.
 
-There is no engine option: these are the only two implementations.
+Both run the paper's fixed schedule: every scale plays its Λ iterations
+(or until no node is active), because ending a scale early would need a
+global check no CONGEST round pays for.  There is no engine option:
+these are the only two implementations.
 """
 
 from __future__ import annotations
@@ -116,7 +115,6 @@ def bounded_arb_independent_set(
     seed: int = 0,
     profile: str = "practical",
     p_constant: int = 1,
-    early_exit: bool = False,
     parameters: Optional[Parameters] = None,
     tracer=None,
 ) -> BoundedArbResult:
@@ -134,10 +132,6 @@ def bounded_arb_independent_set(
     profile / p_constant / parameters:
         Parameter selection; an explicit ``parameters`` overrides the
         profile computation (used by the ablation benchmark E10).
-    early_exit:
-        Skip the rest of a scale's iterations once the Invariant holds at
-        every active node.  Changes the randomness schedule, so leave off
-        when comparing against the CONGEST engine.
     tracer:
         Optional :class:`~repro.obs.trace.Tracer`; opens the ``run``,
         ``arb:scale``, ``bulk:iteration`` and ``kernel:*`` spans.
@@ -188,10 +182,6 @@ def bounded_arb_independent_set(
         for _ in range(params.lambda_iterations):
             if not active.any():
                 break
-            if early_exit:
-                counts = high_degree_counts(high_threshold)
-                if not (active & (counts > bad_threshold)).any():
-                    break
             it_span = (
                 tracer.begin(SPAN_BULK_ITERATION, round=iteration_counter)
                 if tracer is not None
@@ -333,7 +323,7 @@ class BoundedArbNodeProgram(NodeAlgorithm):
         round ``rounds - 1``: during an iteration's keys, decide or notify
         round, that iteration counts; at a scale boundary, every
         iteration of the scales so far does.  This is what the fast
-        engine reports as ``iterations`` with ``early_exit`` off.
+        engine reports as ``iterations``.
         """
         if rounds == 0:
             return 0

@@ -34,6 +34,7 @@ from __future__ import annotations
 import asyncio
 import json
 from typing import Any, Dict, Optional, Tuple
+from urllib.parse import unquote
 
 from repro.serve.errors import BadRequestError
 from repro.serve.incremental import mutations_from_records, wire_int
@@ -236,15 +237,16 @@ class HttpFrontend:
             except (TypeError, ValueError, BadRequestError):
                 return 400, {"error": {"code": "bad-request"}}, {}
         elif path.startswith("/v1/sessions/"):
-            tail = path[len("/v1/sessions/"):]
-            if method == "DELETE" and "/" not in tail:
-                request = Request(op="drop", session=tail)
-            elif method == "GET" and tail.endswith("/mis"):
-                request = Request(
-                    op="query", session=tail[: -len("/mis")].rstrip("/")
-                )
-            elif method == "POST" and tail.endswith("/mutations"):
-                name = tail[: -len("/mutations")].rstrip("/")
+            # Split before decoding, so an encoded "/" (%2F) stays inside
+            # its segment instead of starting a new one.
+            name, *action = [
+                unquote(s) for s in path[len("/v1/sessions/"):].split("/")
+            ]
+            if method == "DELETE" and not action:
+                request = Request(op="drop", session=name)
+            elif method == "GET" and action == ["mis"]:
+                request = Request(op="query", session=name)
+            elif method == "POST" and action == ["mutations"]:
                 try:
                     mutations = mutations_from_records(
                         body.get("mutations", [])

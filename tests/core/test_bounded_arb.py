@@ -72,19 +72,6 @@ class TestFastEngine:
         result = bounded_arb_independent_set(arb3_graph, alpha=3, parameters=params)
         assert result.parameters is params
 
-    def test_early_exit_still_valid(self, starry_graph):
-        result = bounded_arb_independent_set(
-            starry_graph, alpha=2, seed=3, early_exit=True
-        )
-        assert is_independent_set(starry_graph, result.independent_set)
-        for stats in result.scale_stats:
-            assert stats.invariant_satisfied
-
-    def test_early_exit_uses_fewer_iterations(self, starry_graph):
-        eager = bounded_arb_independent_set(starry_graph, alpha=2, seed=3, early_exit=True)
-        full = bounded_arb_independent_set(starry_graph, alpha=2, seed=3, early_exit=False)
-        assert eager.iterations <= full.iterations
-
     def test_csr_input_matches_graph_input(self, starry_graph):
         from_graph = bounded_arb_independent_set(starry_graph, alpha=2, seed=4)
         from_csr = bounded_arb_independent_set(

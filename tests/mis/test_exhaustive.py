@@ -10,7 +10,10 @@ the four competition algorithms at seed 1 this module checks:
 
 For the pipeline names on the same 1,099 graphs:
 
-* ``arb_mis`` at α ∈ {1, 2} — a valid MIS, digested;
+* ``arb_mis`` at α ∈ {1, 2} — a valid MIS, digested, and its Algorithm 1
+  stage ``(I, B, VIB, iterations)`` equal to the CONGEST
+  :func:`~repro.core.bounded_arb.bounded_arb_congest` on the graph the
+  stage ran on;
 * ``tree-independent-set`` on the forests among them (it refuses the
   others by design) — a valid MIS, digested.
 
@@ -41,6 +44,7 @@ import networkx as nx
 import pytest
 
 from repro.core.arb_mis import arb_mis
+from repro.core.bounded_arb import bounded_arb_congest
 from repro.core.repair import repair
 from repro.errors import GraphError
 from repro.mis.bulk import (
@@ -95,13 +99,13 @@ OUTPUT_DIGESTS_N6 = {
 #: SHA-256 of the ``(n, mask, sorted MIS, iterations, congest_rounds)``
 #: stream of ``arb_mis`` at each α over every labelled graph on 1–5 nodes.
 ARB_MIS_DIGESTS = {
-    1: "f9da246cc0ae0e707cf33c9203577548628fcf0c6ae082838f3b5ffce705b10e",
-    2: "78921de649ac76ceeedf3e365577daee215e16519bc6c40bf30df953b16af08e",
+    1: "27b8759c17224c262e597a1cc351c0fdda9ef522f525b1037c67c911097b794f",
+    2: "001f94d3d7dcb610d7d43cbff30ccfa91a105eb520c33b3664bfb96339a166e7",
 }
 
 #: The same stream for ``tree-independent-set`` over the 339 forests.
 TREE_DIGEST = (
-    "63c196598df940738213fd855cba70e84e6f3131352367c231a4c76ee60fd7bd"
+    "b9d0ef1594dcbd370ae9772990b9ae71744b77dd9620699a66742d203ee8a8b5"
 )
 
 #: SHA-256 of every (claimed set, crash subset) crash repair on n ≤ 4.
@@ -177,6 +181,15 @@ def _pipeline_line(n, mask, result):
     )
 
 
+def _alg1_sets(result):
+    return (
+        result.independent_set,
+        result.bad_set,
+        result.residual,
+        result.iterations,
+    )
+
+
 @pytest.mark.parametrize("alpha", sorted(ARB_MIS_DIGESTS))
 def test_arb_mis_on_every_graph_up_to_five_nodes(alpha):
     digest = hashlib.sha256()
@@ -185,6 +198,14 @@ def test_arb_mis_on_every_graph_up_to_five_nodes(alpha):
             result = arb_mis(graph, alpha=alpha, seed=SEED)
             assert_valid_mis(graph, result.mis)
             digest.update(_pipeline_line(n, mask, result))
+            report = result.extra["report"]
+            working = (
+                graph
+                if report.reduction is None
+                else graph.subgraph(report.reduction.surviving)
+            )
+            anchor = bounded_arb_congest(working, alpha=alpha, seed=SEED)
+            assert _alg1_sets(report.partial) == _alg1_sets(anchor), (n, mask)
     assert digest.hexdigest() == ARB_MIS_DIGESTS[alpha]
 
 

@@ -89,6 +89,43 @@ class TestRoutes:
 
         run_with_frontend(scenario)
 
+    def test_percent_encoded_session_name_round_trips(self):
+        # The routes used to match the raw path, so GET
+        # /v1/sessions/a%20b/mis answered 404 for the session that
+        # GET /v1/sessions listed as "a b".
+        def scenario(port, service):
+            status, body, _ = request(
+                port, "POST", "/v1/sessions", {"name": "a b", "edges": [[0, 1], [1, 2]]}
+            )
+            assert status == 200, body
+
+            status, body, _ = request(port, "GET", "/v1/sessions")
+            assert body["result"]["sessions"] == ["a b"]
+
+            status, body, _ = request(port, "GET", "/v1/sessions/a%20b/mis")
+            assert status == 200, body
+            assert body["result"]["mis"] == [0, 2]
+
+            status, body, _ = request(
+                port,
+                "POST",
+                "/v1/sessions/a%20b/mutations",
+                {"mutations": [{"op": "add-edge", "u": 0, "v": 2}]},
+            )
+            assert status == 200, body
+            status, body, _ = request(port, "GET", "/v1/sessions/a%20b/mis")
+            assert len(body["result"]["mis"]) == 1  # now a triangle
+
+            # An encoded slash stays inside the name: no such session.
+            status, body, _ = request(port, "GET", "/v1/sessions/a%2Fb/mis")
+            assert status == 404 and body["error"]["code"] == "session-not-found"
+
+            status, body, _ = request(port, "DELETE", "/v1/sessions/a%20b")
+            assert status == 200 and body["result"]["dropped"] == "a b"
+            assert service.sessions == {}
+
+        run_with_frontend(scenario)
+
     def test_probes_and_metrics(self):
         def scenario(port, service):
             status, body, _ = request(port, "GET", "/healthz")

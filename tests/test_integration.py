@@ -8,6 +8,8 @@ instrumentation modules and the algorithm they instrument.
 
 from __future__ import annotations
 
+import dataclasses
+
 import networkx as nx
 import pytest
 
@@ -149,9 +151,20 @@ class TestCrossAlgorithmComparisons:
         assert max(sizes.values()) <= 2 * min(sizes.values())
 
     def test_arb_mis_iterations_scale_with_parameters(self):
+        # Every scale plays Λ iterations unless the graph runs out of
+        # active nodes first: the paper's fixed schedule.
         g = starry_arboricity_graph(500, 2, hubs=4, seed=10)
-        fast = arb_mis(g, alpha=2, seed=10, early_exit=True)
-        slow = arb_mis(g, alpha=2, seed=10, early_exit=False)
-        assert_valid_mis(g, fast.mis)
-        assert_valid_mis(g, slow.mis)
-        assert fast.extra["report"].scale_iterations <= slow.extra["report"].scale_iterations
+        base = compute_parameters(2, max_degree(g), "practical")
+        for lambda_iterations in (1, 2, base.lambda_iterations):
+            params = dataclasses.replace(base, lambda_iterations=lambda_iterations)
+            result = arb_mis(g, alpha=2, seed=10, parameters=params)
+            assert_valid_mis(g, result.mis)
+            partial = result.extra["report"].partial
+            for stats in partial.scale_stats:
+                assert stats.iterations_used <= lambda_iterations
+                if stats.iterations_used < lambda_iterations:
+                    assert stats.active_after == 0
+            assert partial.iterations == sum(
+                s.iterations_used for s in partial.scale_stats
+            )
+            assert partial.iterations <= params.total_iterations()
