@@ -80,8 +80,8 @@ GRIDS: Dict[str, List[dict]] = {
         {"algorithm": "arb-alg1-bulk", "n": 300_000, "alpha": 2, "seed": 0},
         {"algorithm": "arb-alg1-bulk", "n": 1_000_000, "alpha": 2, "seed": 0},
     ],
-    # E19: the sharded MPC runtime (inline shard execution — pool startup
-    # noise has no place in a CI gate).  The shards axis is the point:
+    # E19: the sharded MPC runtime (every shard runs inline in the
+    # coordinator process).  The shards axis is the point:
     # iterations/mis_size must be identical down the column (the engines
     # are bit-identical for every shard count) and throughput scales with
     # the per-round frontier exchange overhead.
@@ -198,7 +198,6 @@ def run_cell(cell: dict) -> dict:
                 csr,
                 seed=cell["seed"],
                 shards=cell["shards"],
-                workers=0,
             )
             iterations = result.iterations
             mis_size = len(result.mis)

@@ -20,7 +20,6 @@ The committed throughput baseline lives in
 
 from __future__ import annotations
 
-import os
 import time
 
 from _common import emit
@@ -32,10 +31,6 @@ SIZES = [2**13, 2**15, 2**17]
 SHARD_COUNTS = [1, 2, 4, 8]
 ALPHA = 2
 SEED = 0
-
-# Pool-mode timing is environment-dependent (fork + shm setup); opt in with
-# REPRO_E19_POOL=1 to add a workers=4 column at the largest n.
-POOL_GATE = os.environ.get("REPRO_E19_POOL", "") == "1"
 
 
 def test_e19_shard_invariance_and_comm(benchmark):
@@ -119,22 +114,3 @@ def test_e19_budget_pressure_row():
         ],
         "E19: budget pressure (alpha=3, metivier, 4 shards)",
     )
-
-
-def test_e19_pool_mode():
-    """Pool execution returns the inline result (always checked; timing
-    is only reported under REPRO_E19_POOL=1)."""
-    n = SIZES[-1] if POOL_GATE else 2**13
-    csr = csr_bounded_arboricity(n, ALPHA, seed=SEED)
-    inline = run_sharded("metivier", csr, seed=SEED, shards=4, workers=0)
-    start = time.perf_counter()
-    pooled = run_sharded("metivier", csr, seed=SEED, shards=4, workers=4)
-    seconds = time.perf_counter() - start
-    assert pooled.mis == inline.mis
-    assert pooled.iterations == inline.iterations
-    if POOL_GATE:
-        emit(
-            "e19_pool_mode",
-            [{"n": n, "workers": 4, "wall s": round(seconds, 3)}],
-            "E19: pool-mode wall time (4 workers, shared-memory statics)",
-        )

@@ -57,6 +57,7 @@ import networkx as nx
 from repro.analysis.cache import CellFailure, SweepCache, unit_fingerprint
 from repro.analysis.sweep import SweepPoint, SweepResult
 from repro.core.parameters import ROUNDS_PER_ITERATION
+from repro.env import env_number
 from repro.errors import ConfigurationError
 from repro.graphs.generators import GraphSpec
 from repro.mis.engine import MISResult
@@ -185,11 +186,10 @@ class FailurePolicy:
     def from_env(cls, environ: Optional[Mapping[str, str]] = None) -> "FailurePolicy":
         """Build a policy from the ``REPRO_SWEEP_*`` environment knobs."""
         env = os.environ if environ is None else environ
-        timeout_raw = env.get("REPRO_SWEEP_CELL_TIMEOUT", "")
         return cls(
             on_error=env.get("REPRO_SWEEP_ON_ERROR", "fail-fast"),
-            retries=int(env.get("REPRO_SWEEP_RETRIES", "0") or 0),
-            cell_timeout=float(timeout_raw) if timeout_raw else None,
+            retries=env_number("REPRO_SWEEP_RETRIES", 0, int, env),
+            cell_timeout=env_number("REPRO_SWEEP_CELL_TIMEOUT", None, float, env),
         )
 
     @property

@@ -402,15 +402,16 @@ def bounded_arb_congest(
     graph: nx.Graph,
     alpha: int,
     seed: int = 0,
-    profile: str = "practical",
-    p_constant: int = 1,
+    parameters: Optional[Parameters] = None,
     enforce_congest: bool = False,
 ) -> BoundedArbResult:
     """Run the CONGEST engine and package its output as
-    :class:`BoundedArbResult` (same shape as the fast engine's)."""
-    params = compute_parameters(
-        alpha, graph_max_degree(graph), profile=profile, p_constant=p_constant
-    )
+    :class:`BoundedArbResult` (same shape as the fast engine's).
+
+    ``parameters`` defaults to ``compute_parameters(alpha, Δ)``; an
+    explicit one runs that schedule, as the fast engine's does.
+    """
+    params = parameters or compute_parameters(alpha, graph_max_degree(graph))
     network = Network(graph)
     program = BoundedArbNodeProgram(params)
     simulator = SynchronousSimulator(network, seed=seed, enforce_congest=enforce_congest)

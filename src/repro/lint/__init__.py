@@ -16,8 +16,8 @@ R5   no shared mutable class attributes or default arguments
 ==== =======================================================================
 
 A second family guards the *engines* rather than the model: the columnar
-CSR kernels and the shared-memory multiprocess runtime reproduce the
-same seeded random process bit for bit, and the S-rules make the silent
+CSR kernels and the sharded MPC runtime reproduce the same seeded random
+process bit for bit, and the S-rules make the silent
 ways that can break (shared-array races, fork-captured state, integer
 overflow at n=10^7, pickled RNG state, mistyped event kinds) statically
 visible (see :mod:`repro.lint.safety`):

@@ -133,8 +133,7 @@ def get_algorithm(name: str, engine: Optional[str] = None) -> AlgorithmFn:
     plain registration), ``"bulk"`` (the columnar ``<name>-bulk``
     registration when present, scalar otherwise), or ``"mpc"`` (the
     sharded ``<name>-mpc`` registration when present, scalar otherwise —
-    shard count and pool size come from ``REPRO_MPC_SHARDS`` and
-    ``REPRO_MPC_WORKERS``).
+    the shard count comes from ``REPRO_MPC_SHARDS``).
 
     >>> fn = get_algorithm("metivier")
     >>> import networkx as nx

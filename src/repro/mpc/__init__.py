@@ -2,9 +2,9 @@
 
 Partitions a :class:`~repro.graphs.csr.CSRGraph` into contiguous
 position-range shards (:mod:`repro.mpc.partition`), runs the bulk round
-kernels per shard — inline or on a ``multiprocessing`` pool with
-shared-memory statics — exchanging only frontier state between rounds
-(:mod:`repro.mpc.runtime`), with every inter-shard byte metered against
+kernels per shard, inline in the coordinator process, exchanging only
+frontier state between rounds (:mod:`repro.mpc.runtime`), with every
+inter-shard byte metered against
 a configurable per-shard budget (:mod:`repro.mpc.budget`).  The sharded
 engines are bit-identical to the bulk and scalar engines for every seed
 and shard count; select them with ``REPRO_MIS_ENGINE=mpc`` or

@@ -4,11 +4,11 @@ One engine per definition in :data:`repro.mis.bulk.ALGORITHMS`, with the
 same call shape as its scalar and bulk twins
 (``fn(graph, seed=0, max_iterations=...)``) so it can slot into
 :mod:`repro.mis.registry`, sweeps, and the CLI unchanged, while passing
-the sharded runtime's extra knobs (``shards``, ``workers``, ``budget``,
-``failure_policy``, ``crashes``) through as keyword arguments.  Unset
-knobs fall back to the ``REPRO_MPC_SHARDS`` / ``REPRO_MPC_WORKERS``
-environment variables (defaults: 4 shards, inline execution), mirroring
-how ``REPRO_MIS_ENGINE`` selects the engine itself.
+the sharded runtime's extra knobs (``shards``, ``budget``,
+``failure_policy``, ``crashes``) through as keyword arguments.  An unset
+shard count falls back to the ``REPRO_MPC_SHARDS`` environment variable
+(default 4), mirroring how ``REPRO_MIS_ENGINE`` selects the engine
+itself.
 """
 
 from __future__ import annotations

@@ -32,11 +32,10 @@ Execution model (docs/mpc_runtime.md has the full walkthrough):
   engine runs and, when triggered, its exact tuple-rule fallback.  Luby
   B's id-embedded keys and Ghaffari's key-free join rule never need it.
 
-Shard computations run either inline (``workers <= 1``) or on a
-``multiprocessing`` pool whose workers attach the static CSR arrays
-through :mod:`multiprocessing.shared_memory` — only the dynamic scratch
-(the modeled per-round messages plus the shard's own slice) travels with
-each task.  Worker crashes flow through the same
+Every shard computation runs inline in the coordinator process: the
+contracts above — bit-identity with bulk and metered inter-shard bytes —
+are enforced by the coordinator, so no second process is needed.  Shard
+crashes flow through the same
 :class:`~repro.analysis.runner.FailurePolicy` contract as sweep cells:
 retry with deterministic keyed backoff, then either re-raise
 (``fail-fast``) or degrade — the dead shard's still-active nodes are
@@ -46,13 +45,12 @@ an MIS of the surviving subgraph
 
 This module is intentionally *outside* the R3 determinism lint scope
 (like :mod:`repro.analysis`): the round math is pure, but retry backoff
-sleeps and pool management touch the clock.
+sleeps and the shard spans touch the clock.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
@@ -60,6 +58,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.analysis.runner import FailurePolicy
+from repro.env import env_number
 from repro.errors import ConfigurationError, SimulationError
 from repro.graphs.csr import CSRGraph, csr_from_graph
 from repro.mis.bulk import ALGORITHMS, StateField
@@ -80,7 +79,6 @@ from repro.obs.trace import (
     SPAN_MPC_ROUND,
     SPAN_MPC_SHARD,
     SPAN_RUN,
-    Tracer,
 )
 
 __all__ = [
@@ -88,14 +86,12 @@ __all__ = [
     "InjectedShardCrash",
     "run_sharded",
     "SHARDS_ENV",
-    "WORKERS_ENV",
     "DEFAULT_SHARDS",
 ]
 
-#: Environment knobs mirroring ``REPRO_MIS_ENGINE``: default shard count
-#: and pool size for the ``<name>-mpc`` registry engines.
+#: Environment knob mirroring ``REPRO_MIS_ENGINE``: default shard count
+#: for the ``<name>-mpc`` registry engines.
 SHARDS_ENV = "REPRO_MPC_SHARDS"
-WORKERS_ENV = "REPRO_MPC_WORKERS"
 DEFAULT_SHARDS = 4
 
 #: ``active`` ships as one byte; the definitions give their own fields'
@@ -107,7 +103,7 @@ _INDEX_BYTES = 4
 
 
 class InjectedShardCrash(SimulationError):
-    """A shard worker was deliberately killed mid-round (fault injection)."""
+    """A shard was deliberately killed mid-round (fault injection)."""
 
     def __init__(self, shard: int, iteration: int, attempt: int):
         self.shard = shard
@@ -118,21 +114,13 @@ class InjectedShardCrash(SimulationError):
             f"(attempt {attempt})"
         )
 
-    def __reduce__(self):
-        # Keeps the exception picklable across the pool boundary (the
-        # default exception reduce replays ``args``, which here is the
-        # formatted message, not the three constructor arguments).
-        return (InjectedShardCrash, (self.shard, self.iteration, self.attempt))
-
 
 @dataclass(frozen=True)
 class ShardCrash:
-    """Deterministic crash injector: kill ``shard``'s worker in a round.
+    """Deterministic crash injector: kill ``shard`` in a round.
 
-    The worker raises on its first ``attempts`` attempts of the winners
+    The shard raises on its first ``attempts`` attempts of the winners
     phase of round ``iteration``; retried attempts beyond that succeed.
-    Attempt numbers are coordinator-tracked, so the schedule behaves
-    identically inline and on the pool.
     """
 
     iteration: int
@@ -202,164 +190,15 @@ def _build_statics(plan: ShardPlan) -> List[_ShardStatic]:
     return statics
 
 
-# -- the pure per-shard round computation ------------------------------------
-
-
 def _no_kernel(name: Optional[str]) -> None:
     """Shards trace one ``mpc:kernel`` span per stage, not kernel spans."""
-
-
-def _phase_compute(
-    static: _ShardStatic,
-    scratch: Dict[str, np.ndarray],
-    algorithm: str,
-    phase: str,
-    seed: int,
-    iteration: int,
-) -> Dict[str, np.ndarray]:
-    """One shard's share of one stage: the definition's own computation
-    over the shard's rows.  Pure; runs identically inline and in a pool
-    worker."""
-    stage = ALGORITHMS[algorithm].stage(phase)
-    return stage.compute(static.view, scratch, seed, iteration, _no_kernel)
-
-
-# -- multiprocessing pool plumbing -------------------------------------------
-
-# Worker-global context: shared-memory attachments plus lazily built
-# shard statics, keyed by the coordinator's run id so a reused pool
-# never serves stale graph data.
-_WORKER: Dict[str, Any] = {}
-
-
-def _attach_shm(name: str):
-    import multiprocessing
-    from multiprocessing import resource_tracker, shared_memory
-
-    shm = shared_memory.SharedMemory(name=name)
-    if multiprocessing.get_start_method() != "fork":
-        try:
-            # Attach-only segments must not be torn down when this worker
-            # exits; the coordinator owns their lifecycle.  Under fork the
-            # tracker process is shared with the coordinator, so the
-            # attach registration dedups away and unregistering here
-            # would cancel the coordinator's own registration instead.
-            resource_tracker.unregister(shm._name, "shared_memory")  # noqa: SLF001
-        except Exception:
-            pass
-    return shm
-
-
-def _pool_init(run_id: str, names: Dict[str, str], n: int, nnz: int, k: int) -> None:
-    shms = {key: _attach_shm(name) for key, name in names.items()}
-    indptr = np.ndarray((n + 1,), dtype=np.int64, buffer=shms["indptr"].buf)
-    indices = np.ndarray((nnz,), dtype=np.int64, buffer=shms["indices"].buf)
-    key_ids = np.ndarray((n,), dtype=np.uint64, buffer=shms["key_ids"].buf)
-    # The static CSR is shared by every worker: freeze the attachments so
-    # an accidental write raises ValueError instead of racing the pool.
-    indptr.flags.writeable = False
-    indices.flags.writeable = False
-    key_ids.flags.writeable = False
-    csr = CSRGraph(
-        labels=key_ids,  # labels are never read by the round math
-        key_ids=key_ids,
-        indptr=indptr,
-        indices=indices,
-        integer_labeled=True,
-    )
-    _WORKER.clear()
-    _WORKER.update(
-        {"run_id": run_id, "shms": shms, "csr": csr, "k": k, "statics": None}
-    )
-
-
-def _compute_traced(
-    static: _ShardStatic,
-    scratch: Dict[str, np.ndarray],
-    algorithm: str,
-    phase: str,
-    seed: int,
-    iteration: int,
-) -> Dict[str, Any]:
-    """``_phase_compute`` wrapped in a collector-mode span recorder.
-
-    The worker has no session (and no coordinator clock); it records its
-    ``mpc:kernel`` span into a plain ``list[dict]`` buffer that ships back
-    with the shard result under the ``"spans"`` key — pickle-safe, no
-    handles — for the coordinator to merge.  The same wrapper runs on the
-    inline path so traced streams are identical at every worker count.
-    """
-    buffer: List[Dict[str, Any]] = []
-    tracer = Tracer(collector=buffer)
-    span = tracer.begin(SPAN_MPC_KERNEL, round=iteration)
-    result = dict(_phase_compute(static, scratch, algorithm, phase, seed, iteration))
-    tracer.end(span, shard=static.index, stage=phase, rows=static.n_local)
-    result["spans"] = buffer
-    return result
-
-
-def _pool_task(
-    run_id: str,
-    shard_index: int,
-    algorithm: str,
-    phase: str,
-    seed: int,
-    iteration: int,
-    scratch: Dict[str, np.ndarray],
-    crash: bool,
-    attempt: int,
-    trace: bool = False,
-) -> Dict[str, Optional[np.ndarray]]:
-    if crash:
-        raise InjectedShardCrash(shard_index, iteration, attempt)
-    if _WORKER.get("run_id") != run_id:
-        raise SimulationError("pool worker initialized for a different run")
-    if _WORKER["statics"] is None:
-        plan = partition_csr(_WORKER["csr"], _WORKER["k"])
-        _WORKER["statics"] = _build_statics(plan)
-    static = _WORKER["statics"][shard_index]
-    compute = _compute_traced if trace else _phase_compute
-    return compute(static, scratch, algorithm, phase, seed, iteration)
-
-
-class _SharedStatics:
-    """Coordinator-side shared-memory blocks holding the static CSR."""
-
-    def __init__(self, csr: CSRGraph, run_id: str):
-        from multiprocessing import shared_memory
-
-        self.run_id = run_id
-        self._shms = {}
-        self.names = {}
-        for key, array in (
-            ("indptr", csr.indptr),
-            ("indices", csr.indices),
-            ("key_ids", csr.key_ids),
-        ):
-            shm = shared_memory.SharedMemory(
-                create=True, size=max(1, array.nbytes)
-            )
-            view = np.ndarray(array.shape, dtype=array.dtype, buffer=shm.buf)
-            view[:] = array
-            # Filled once; read-only from here on (coordinator included).
-            view.flags.writeable = False
-            self._shms[key] = shm
-            self.names[key] = shm.name
-
-    def close(self) -> None:
-        for shm in self._shms.values():
-            try:
-                shm.close()
-                shm.unlink()
-            except Exception:
-                pass
 
 
 # -- the coordinator ---------------------------------------------------------
 
 
 class _Coordinator:
-    """Runs one sharded execution: state, meters, pool, fault handling."""
+    """Runs one sharded execution: state, meters, shards, fault handling."""
 
     def __init__(
         self,
@@ -367,11 +206,9 @@ class _Coordinator:
         csr: CSRGraph,
         seed: int,
         shards: int,
-        workers: int,
         budget: Optional[CommBudget],
         policy: FailurePolicy,
         obs: Optional[ObsSession],
-        owns_obs: bool,
         crashes: Sequence[ShardCrash],
         max_iterations: int,
     ):
@@ -380,18 +217,14 @@ class _Coordinator:
         self.csr = csr
         self.n = csr.n
         self.seed = seed
-        self.workers = workers
         self.policy = policy
         self.obs = obs
-        self.owns_obs = owns_obs
         self.crashes = list(crashes)
         self.max_iterations = max_iterations
-        #: Span recorder riding the session (None when tracing is off);
-        #: worker buffers merge into it in shard order, so the tree is
-        #: deterministic at every worker count.
+        #: Span recorder riding the session (None when tracing is off).
         self.tracer = obs.tracer if obs is not None else None
         #: Per-shard kernel wall seconds accumulated this round from the
-        #: merged worker spans (satellite telemetry on ``mpc-round``).
+        #: ``mpc:kernel`` spans (satellite telemetry on ``mpc-round``).
         self._round_shard_seconds: Dict[int, float] = {}
 
         self.plan = partition_csr(csr, shards)
@@ -427,40 +260,6 @@ class _Coordinator:
         }
 
         self.dead_shards: set = set()
-        self._attempts: Dict[Tuple[int, str, int], int] = {}
-        self._pool = None
-        self._shared: Optional[_SharedStatics] = None
-        self._run_id = hashlib.sha1(
-            f"mpc:{algorithm}:{seed}:{self.n}:{self.k}:{os.getpid()}".encode()
-        ).hexdigest()[:12]
-
-    # -- pool lifecycle ------------------------------------------------------
-
-    def _ensure_pool(self):
-        if self._pool is None:
-            from concurrent.futures import ProcessPoolExecutor
-
-            self._shared = _SharedStatics(self.csr, self._run_id)
-            self._pool = ProcessPoolExecutor(
-                max_workers=min(self.workers, self.k),
-                initializer=_pool_init,
-                initargs=(
-                    self._run_id,
-                    self._shared.names,
-                    self.n,
-                    int(self.csr.indices.size),
-                    self.k,
-                ),
-            )
-        return self._pool
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-        if self._shared is not None:
-            self._shared.close()
-            self._shared = None
 
     # -- metered message exchange --------------------------------------------
 
@@ -583,58 +382,47 @@ class _Coordinator:
             shard=shard,
         )
 
-    def _submit(self, shard: int, phase: str, iteration: int, attempt: int):
-        crash = self._should_crash(shard, phase, iteration, attempt)
-        return self._pool.submit(
-            _pool_task,
-            self._run_id,
-            shard,
-            self.algorithm,
-            phase,
-            self.seed,
-            iteration,
-            self.scratch[shard],
-            crash,
-            attempt,
-            self.tracer is not None,
+    def _compute(
+        self, shard: int, phase: str, iteration: int
+    ) -> Dict[str, np.ndarray]:
+        """One shard's share of one stage: the definition's own
+        computation over the shard's rows, traced as one ``mpc:kernel``
+        span."""
+        static = self.statics[shard]
+        stage = self.definition.stage(phase)
+        scratch = self.scratch[shard]
+        tracer = self.tracer
+        if tracer is None:
+            return stage.compute(static.view, scratch, self.seed, iteration, _no_kernel)
+        with tracer.span(
+            SPAN_MPC_KERNEL,
+            round=iteration,
+            shard=shard,
+            stage=phase,
+            rows=static.n_local,
+        ) as span:
+            result = stage.compute(static.view, scratch, self.seed, iteration, _no_kernel)
+            seconds = tracer.clock() - span.start
+        self._round_shard_seconds[shard] = (
+            self._round_shard_seconds.get(shard, 0.0) + seconds
         )
+        return result
 
     def _execute_shard(
-        self, shard: int, phase: str, iteration: int, pending=None
-    ) -> Optional[Dict[str, Optional[np.ndarray]]]:
+        self, shard: int, phase: str, iteration: int
+    ) -> Optional[Dict[str, np.ndarray]]:
         """Run one shard's phase under the failure policy.
 
-        ``pending`` is an already-submitted first-attempt future (the pool
-        wave); retries after a failure run synchronously.  Returns None
-        when the shard exhausted its attempts and the policy degrades
-        instead of raising (the caller retires the shard).
+        Returns None when the shard exhausted its attempts and the policy
+        degrades instead of raising (the caller retires the shard).
         """
-        key = (iteration, phase, shard)
+        attempt = 0
         while True:
-            if pending is None:
-                attempt = self._attempts.get(key, 0) + 1
-                self._attempts[key] = attempt
-            else:
-                attempt = self._attempts[key]
+            attempt += 1
             try:
-                if pending is not None:
-                    future, pending = pending, None
-                    return future.result()
-                if self._pool is not None:
-                    return self._submit(shard, phase, iteration, attempt).result()
                 if self._should_crash(shard, phase, iteration, attempt):
                     raise InjectedShardCrash(shard, iteration, attempt)
-                compute = (
-                    _compute_traced if self.tracer is not None else _phase_compute
-                )
-                return compute(
-                    self.statics[shard],
-                    self.scratch[shard],
-                    self.algorithm,
-                    phase,
-                    self.seed,
-                    iteration,
-                )
+                return self._compute(shard, phase, iteration)
             except Exception as exc:
                 self._emit_failure(shard, exc, attempt)
                 if attempt < self.policy.max_attempts:
@@ -670,26 +458,14 @@ class _Coordinator:
 
     def _run_phase(
         self, phase: str, iteration: int
-    ) -> Dict[int, Dict[str, Optional[np.ndarray]]]:
-        """Execute one phase on every live shard.
-
-        Pool mode submits the whole wave up front — every live shard's
-        first attempt is in flight concurrently — then gathers in shard
-        order; a failed gather drops into the synchronous retry loop.
-        """
+    ) -> Dict[int, Dict[str, np.ndarray]]:
+        """Execute one phase on every live shard, in shard order."""
         live = [
             s
             for s in range(self.k)
             if s not in self.dead_shards and self.statics[s].n_local
         ]
-        if self.workers > 1 and len(live) > 1:
-            self._ensure_pool()
-        first = {}
-        if self._pool is not None:
-            for s in live:
-                self._attempts[(iteration, phase, s)] = 1
-                first[s] = self._submit(s, phase, iteration, 1)
-        results: Dict[int, Dict[str, Optional[np.ndarray]]] = {}
+        results: Dict[int, Dict[str, np.ndarray]] = {}
         tracer = self.tracer
         for s in live:
             shard_span = (
@@ -697,18 +473,8 @@ class _Coordinator:
                 if tracer is not None
                 else None
             )
-            outcome = self._execute_shard(s, phase, iteration, first.get(s))
+            outcome = self._execute_shard(s, phase, iteration)
             if outcome is not None:
-                if tracer is not None:
-                    spans = outcome.pop("spans", None)
-                    if spans:
-                        for record in spans:
-                            if record.get("name") == SPAN_MPC_KERNEL:
-                                self._round_shard_seconds[s] = (
-                                    self._round_shard_seconds.get(s, 0.0)
-                                    + float(record.get("dur_s") or 0.0)
-                                )
-                        tracer.merge(spans)
                 results[s] = outcome
             if tracer is not None:
                 tracer.end(shard_span, shard=s, stage=phase)
@@ -788,7 +554,7 @@ class _Coordinator:
                     "degenerate": fallback is not None,
                 }
                 if tracer is not None:
-                    # Per-shard kernel wall from the merged worker spans;
+                    # Per-shard kernel wall from the `mpc:kernel` spans;
                     # a timestamp field (stripped by `obs diff`).
                     round_data["shard_seconds"] = {
                         str(s): round(seconds, 6)
@@ -812,7 +578,6 @@ class _Coordinator:
         extra: Dict[str, Any] = {
             "completed": not bool(self.active.any()),
             "shards": self.k,
-            "workers": self.workers,
             "comm": report.to_dict(),
         }
         extra.update(definition.result_extra(history, self.n))
@@ -865,23 +630,13 @@ class _Coordinator:
 # -- public entry point ------------------------------------------------------
 
 
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigurationError(f"{name} must be an integer, got {raw!r}")
-
-
 def run_sharded(
     algorithm: str,
     graph: Union[Any, CSRGraph],
     seed: int = 0,
     max_iterations: Optional[int] = None,
     shards: Optional[int] = None,
-    workers: Optional[int] = None,
+    workers: int = 0,
     budget: Optional[CommBudget] = None,
     failure_policy: Optional[FailurePolicy] = None,
     obs: Optional[ObsSession] = None,
@@ -890,11 +645,13 @@ def run_sharded(
     """Run one MIS algorithm on the sharded MPC runtime.
 
     ``graph`` is a :class:`networkx.Graph` or prebuilt :class:`CSRGraph`.
-    ``shards`` defaults to ``$REPRO_MPC_SHARDS`` (else 4), ``workers`` to
-    ``$REPRO_MPC_WORKERS`` (else 0 = inline).  ``budget`` defaults to an
-    unlimited :class:`CommBudget` (metered, never sparsified);
-    ``failure_policy`` to :meth:`FailurePolicy.from_env`.  ``crashes``
-    injects deterministic shard-worker failures for fault testing.
+    ``shards`` defaults to ``$REPRO_MPC_SHARDS`` (else 4).  Every shard
+    runs inline in the calling process; ``workers`` accepts only 0 or 1,
+    which both mean that, and any other value raises
+    :class:`ConfigurationError`.  ``budget`` defaults to an unlimited
+    :class:`CommBudget` (metered, never sparsified); ``failure_policy``
+    to :meth:`FailurePolicy.from_env`.  ``crashes`` injects deterministic
+    shard failures for fault testing.
 
     The result is bit-identical to the bulk engine (same ``mis``, same
     ``iterations``, same ``active_history``) for every shard count — the
@@ -905,11 +662,14 @@ def run_sharded(
             f"unknown sharded algorithm {algorithm!r}; available: "
             f"{', '.join(sorted(ALGORITHMS))}"
         )
+    if type(workers) is not int or workers not in (0, 1):
+        raise ConfigurationError(
+            f"workers must be 0 or 1 (every shard runs inline in the "
+            f"coordinator process), got {workers!r}"
+        )
     csr = graph if isinstance(graph, CSRGraph) else csr_from_graph(graph)
     if shards is None:
-        shards = _env_int(SHARDS_ENV, DEFAULT_SHARDS)
-    if workers is None:
-        workers = _env_int(WORKERS_ENV, 0)
+        shards = env_number(SHARDS_ENV, DEFAULT_SHARDS)
     if max_iterations is None:
         max_iterations = ALGORITHMS[algorithm].max_iterations
     policy = failure_policy if failure_policy is not None else FailurePolicy.from_env()
@@ -929,7 +689,6 @@ def run_sharded(
                 "algorithm": f"{algorithm}-mpc",
                 "n": csr.n,
                 "shards": shards,
-                "workers": workers,
             },
         )
         owns_obs = obs is not None
@@ -939,17 +698,14 @@ def run_sharded(
         csr=csr,
         seed=seed,
         shards=shards,
-        workers=workers,
         budget=budget,
         policy=policy,
         obs=obs,
-        owns_obs=owns_obs,
         crashes=crashes,
         max_iterations=max_iterations,
     )
     try:
         return coordinator.run()
     finally:
-        coordinator.close()
-        if owns_obs and obs is not None:
+        if owns_obs:
             obs.finish()

@@ -16,10 +16,8 @@ Two producer modes:
   immediately.  This is the coordinator/CLI side.
 * **Collector mode** (``Tracer(collector=[])``): closed spans append to a
   plain ``list[dict]`` — JSON/pickle-safe, no session, no file handles —
-  which is how MPC pool workers record spans and ship them back with
-  their shard results.  The coordinator grafts them under its open shard
-  span with :meth:`Tracer.merge`, remapping ids deterministically in
-  shard order, so traces cross the process boundary.
+  which is how perfbench's recorder and the perf gate's traced cells
+  record spans without a session.
 
 The hot-loop API is ``begin``/``end`` rather than a context manager so a
 disabled tracer costs one ``is not None`` check and **zero allocations**
@@ -96,8 +94,8 @@ SPAN_ARB_SCALE = "arb:scale"  # one Algorithm-1 degree scale
 SPAN_MPC_ROUND = "mpc:round"  # one sharded-runtime round (coordinator)
 SPAN_MPC_EXCHANGE = "mpc:exchange"  # metered coordinator->shard state push
 SPAN_MPC_AUDIT = "mpc:audit"  # cross-shard winner audit
-SPAN_MPC_SHARD = "mpc:shard"  # coordinator-side wait+apply for one shard
-SPAN_MPC_KERNEL = "mpc:kernel"  # worker-side per-shard compute (crosses pool)
+SPAN_MPC_SHARD = "mpc:shard"  # one shard's stage, retries included
+SPAN_MPC_KERNEL = "mpc:kernel"  # one attempt of a shard's stage compute
 SPAN_SERVE_REQUEST = "serve:request"  # one service request end to end
 SPAN_SERVE_EPOCH = "serve:epoch"  # one coalesced mutation epoch (queue to commit)
 SPAN_SERVE_REPAIR = "serve:repair"  # incremental update-repair pass
@@ -270,67 +268,6 @@ class Tracer:
             }
             record.update(counters)
             self._collector.append(record)
-
-    # -- cross-process merge -------------------------------------------------
-
-    def merge(self, records: Iterable[Dict[str, Any]]) -> None:
-        """Graft collector-mode records under the currently open span.
-
-        Ids are remapped through this tracer's counter in record order,
-        so merging shard buffers in shard order keeps the whole tree
-        deterministic.  Worker clocks are not comparable across
-        processes; merged starts are approximated as "ending now", which
-        is correct for the gather-immediately-after pattern and only
-        affects timing fields anyway.
-        """
-        records = list(records)
-        if not records:
-            return
-        stack = self._stack
-        base_parent = stack[-1].span_id if stack else None
-        base_depth = len(stack)
-        now_rel = self.clock() - self._epoch
-        id_map: Dict[Any, int] = {}
-        for record in records:
-            id_map[record.get("span")] = self._next_id
-            self._next_id += 1
-        for record in records:
-            parent = record.get("parent")
-            counters = {
-                k: v for k, v in record.items() if k not in _SPAN_META
-            }
-            wall = float(record.get("dur_s") or 0.0)
-            span = OpenSpan(
-                id_map[record.get("span")],
-                id_map.get(parent, base_parent) if parent is not None else base_parent,
-                base_depth + int(record.get("depth") or 0),
-                str(record.get("name", "?")),
-                record.get("round"),
-                0.0,
-                0.0,
-            )
-            if counters:
-                span.add(**counters)
-            # Bypass the clock: re-stamp with the worker-measured durations.
-            if self._session is not None:
-                self._session.emit(
-                    EVENT_SPAN,
-                    round=span.round,
-                    phase=span.name,
-                    dur_s=wall,
-                    span=span.span_id,
-                    parent=span.parent_id,
-                    depth=span.depth,
-                    start_s=max(0.0, now_rel - wall),
-                    cpu_s=float(record.get("cpu_s") or 0.0),
-                    **counters,
-                )
-            else:
-                merged = dict(record)
-                merged["span"] = span.span_id
-                merged["parent"] = span.parent_id
-                merged["depth"] = span.depth
-                self._collector.append(merged)
 
 
 # -- reconstruction ----------------------------------------------------------

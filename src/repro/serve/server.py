@@ -52,13 +52,13 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import math
-import os
 import threading
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.analysis.runner import FailurePolicy
+from repro.env import env_number
 from repro.errors import ReproError
 from repro.serve.errors import (
     BadRequestError,
@@ -98,14 +98,6 @@ from repro.obs.trace import SPAN_SERVE_EPOCH  # noqa: E402
 _ENV_PREFIX = "REPRO_SERVE_"
 
 
-def _env_int(env: Mapping[str, str], key: str, default: int) -> int:
-    raw = env.get(_ENV_PREFIX + key, "")
-    return int(raw) if raw.strip() else default
-
-
-def _env_float(env: Mapping[str, str], key: str, default: float) -> float:
-    raw = env.get(_ENV_PREFIX + key, "")
-    return float(raw) if raw.strip() else default
 
 
 @dataclass(frozen=True)
@@ -135,24 +127,24 @@ class ServeConfig:
 
     @classmethod
     def from_env(cls, environ: Optional[Mapping[str, str]] = None) -> "ServeConfig":
-        env = os.environ if environ is None else environ
+        def knob(key: str, default, kind=int):
+            return env_number(_ENV_PREFIX + key, default, kind, environ)
+
         return cls(
-            queue_limit=_env_int(env, "QUEUE_LIMIT", cls.queue_limit),
-            default_deadline_s=_env_float(env, "DEADLINE", cls.default_deadline_s),
-            retries=_env_int(env, "RETRIES", cls.retries),
-            backoff_base=_env_float(env, "BACKOFF_BASE", cls.backoff_base),
-            breaker_threshold=_env_int(
-                env, "BREAKER_THRESHOLD", cls.breaker_threshold
+            queue_limit=knob("QUEUE_LIMIT", cls.queue_limit),
+            default_deadline_s=knob("DEADLINE", cls.default_deadline_s, float),
+            retries=knob("RETRIES", cls.retries),
+            backoff_base=knob("BACKOFF_BASE", cls.backoff_base, float),
+            breaker_threshold=knob("BREAKER_THRESHOLD", cls.breaker_threshold),
+            breaker_reset_s=knob("BREAKER_RESET", cls.breaker_reset_s, float),
+            repair_iteration_budget=knob(
+                "REPAIR_BUDGET", cls.repair_iteration_budget
             ),
-            breaker_reset_s=_env_float(env, "BREAKER_RESET", cls.breaker_reset_s),
-            repair_iteration_budget=_env_int(
-                env, "REPAIR_BUDGET", cls.repair_iteration_budget
+            repair_damage_cap=knob("DAMAGE_CAP", cls.repair_damage_cap, float),
+            coalesce_window_s=knob(
+                "COALESCE_WINDOW", cls.coalesce_window_s, float
             ),
-            repair_damage_cap=_env_float(env, "DAMAGE_CAP", cls.repair_damage_cap),
-            coalesce_window_s=_env_float(
-                env, "COALESCE_WINDOW", cls.coalesce_window_s
-            ),
-            retry_after_s=_env_float(env, "RETRY_AFTER", cls.retry_after_s),
+            retry_after_s=knob("RETRY_AFTER", cls.retry_after_s, float),
         )
 
 

@@ -94,6 +94,13 @@ class TestFailurePolicyConfig:
         assert policy.cell_timeout == 1.5
         assert FailurePolicy.from_env({}).on_error == "fail-fast"
 
+    @pytest.mark.parametrize(
+        "key", ["REPRO_SWEEP_RETRIES", "REPRO_SWEEP_CELL_TIMEOUT"]
+    )
+    def test_from_env_malformed_value_names_the_variable(self, key):
+        with pytest.raises(ConfigurationError, match=key):
+            FailurePolicy.from_env({key: "abc"})
+
     def test_backoff_is_deterministic_and_bounded(self):
         policy = FailurePolicy(on_error="continue", retries=4, backoff_base=0.1)
         fp = "ab" * 32

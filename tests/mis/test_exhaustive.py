@@ -14,8 +14,11 @@ For the pipeline names on the same 1,099 graphs:
   stage ``(I, B, VIB, iterations)`` equal to the CONGEST
   :func:`~repro.core.bounded_arb.bounded_arb_congest` on the graph the
   stage ran on;
+* Algorithm 1 under two explicit schedules at α ∈ {1, 2} — the fast
+  engine's ``(I, B, VIB, iterations)`` equal to the CONGEST engine's;
 * ``tree-independent-set`` on the forests among them (it refuses the
-  others by design) — a valid MIS, digested.
+  others by design) and ``lenzen-wattenhofer`` at seeds 1 and 2 — a
+  valid MIS, digested.
 
 and, for the repair passes built on the same competition:
 
@@ -37,6 +40,7 @@ marker expression selects it (``pytest -m slow``).
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
 
@@ -44,9 +48,12 @@ import networkx as nx
 import pytest
 
 from repro.core.arb_mis import arb_mis
-from repro.core.bounded_arb import bounded_arb_congest
+from repro.core.bounded_arb import bounded_arb_congest, bounded_arb_independent_set
+from repro.core.parameters import compute_parameters
 from repro.core.repair import repair
 from repro.errors import GraphError
+from repro.graphs.properties import max_degree
+from repro.mis.registry import get_algorithm
 from repro.mis.bulk import (
     ghaffari_mis_bulk,
     luby_a_mis_bulk,
@@ -107,6 +114,30 @@ ARB_MIS_DIGESTS = {
 TREE_DIGEST = (
     "b9d0ef1594dcbd370ae9772990b9ae71744b77dd9620699a66742d203ee8a8b5"
 )
+
+#: The same stream for ``lenzen-wattenhofer`` over the 339 forests, by seed.
+LW_DIGESTS = {
+    1: "46d1f4bde08887fac2e195569b9638f8a1a2905731208203384d310501a1da30",
+    2: "56381d8b7da8dd681277fd31512619c65eb16679ece82e207d9d59a688488a12",
+}
+
+#: Algorithm 1 schedules other than the default, as replacements of each
+#: graph's ``compute_parameters(α, Δ)``: E11's truncated Θ = 1, Λ = 1
+#: schedule, and a point (Θ = 2, Λ = 1, ρ factor 1) at which the bad set
+#: fires on graphs whose arboricity is within α.
+SCHEDULES = {
+    "e11-truncated": dict(theta=1, lambda_iterations=1),
+    "bad-set": dict(theta=2, lambda_iterations=1, rho_factor=1.0),
+}
+
+#: Runs, per (schedule, α), that mark a bad node on a graph of
+#: arboricity ≤ α.
+BAD_SET_RUNS = {
+    ("e11-truncated", 1): 0,
+    ("e11-truncated", 2): 0,
+    ("bad-set", 1): 291,
+    ("bad-set", 2): 668,
+}
 
 #: SHA-256 of every (claimed set, crash subset) crash repair on n ≤ 4.
 CRASH_REPAIR_DIGEST = (
@@ -209,6 +240,40 @@ def test_arb_mis_on_every_graph_up_to_five_nodes(alpha):
     assert digest.hexdigest() == ARB_MIS_DIGESTS[alpha]
 
 
+def arboricity(graph):
+    """Nash-Williams: max over node subsets H of ⌈m_H / (|H| − 1)⌉."""
+    nodes = list(graph)
+    return max(
+        (
+            -(-graph.subgraph(sub).number_of_edges() // (size - 1))
+            for size in range(2, len(nodes) + 1)
+            for sub in itertools.combinations(nodes, size)
+        ),
+        default=0,
+    )
+
+
+@pytest.mark.parametrize("alpha", [1, 2])
+@pytest.mark.parametrize("schedule", sorted(SCHEDULES))
+def test_alg1_engines_agree_under_explicit_schedules(schedule, alpha):
+    bad_runs = 0
+    for n in range(1, 6):
+        for mask, graph in labelled_graphs(n):
+            params = dataclasses.replace(
+                compute_parameters(alpha, max_degree(graph)), **SCHEDULES[schedule]
+            )
+            fast = bounded_arb_independent_set(
+                graph, alpha=alpha, seed=SEED, parameters=params
+            )
+            anchor = bounded_arb_congest(
+                graph, alpha=alpha, seed=SEED, parameters=params
+            )
+            assert _alg1_sets(fast) == _alg1_sets(anchor), (n, mask)
+            if fast.bad_set and arboricity(graph) <= alpha:
+                bad_runs += 1
+    assert bad_runs == BAD_SET_RUNS[(schedule, alpha)]
+
+
 def test_tree_independent_set_on_every_forest_up_to_five_nodes():
     digest = hashlib.sha256()
     forests = refused = 0
@@ -225,6 +290,23 @@ def test_tree_independent_set_on_every_forest_up_to_five_nodes():
             forests += 1
     assert (forests, refused) == (339, 760)
     assert digest.hexdigest() == TREE_DIGEST
+
+
+@pytest.mark.parametrize("seed", sorted(LW_DIGESTS))
+def test_lenzen_wattenhofer_on_every_forest_up_to_five_nodes(seed):
+    lenzen_wattenhofer = get_algorithm("lenzen-wattenhofer")
+    digest = hashlib.sha256()
+    forests = 0
+    for n in range(1, 6):
+        for mask, graph in labelled_graphs(n):
+            if not nx.is_forest(graph):
+                continue
+            result = lenzen_wattenhofer(graph, seed=seed)
+            assert_valid_mis(graph, result.mis)
+            digest.update(_pipeline_line(n, mask, result))
+            forests += 1
+    assert forests == 339
+    assert digest.hexdigest() == LW_DIGESTS[seed]
 
 
 @pytest.mark.parametrize("algorithm", sorted(ENGINES))

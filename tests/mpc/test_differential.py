@@ -50,17 +50,6 @@ def test_mpc_matches_bulk_and_scalar_across_shard_counts(algorithm):
             assert mpc.extra["comm"]["total_bytes"] >= 0
 
 
-@pytest.mark.parametrize("algorithm", ALGORITHMS)
-def test_pool_mode_matches_inline(algorithm):
-    """Process-pool execution is the same computation as inline."""
-    graph = nx.gnp_random_graph(90, 0.06, seed=2)
-    inline = run_sharded(algorithm, graph, seed=2, shards=4, workers=0)
-    pooled = run_sharded(algorithm, graph, seed=2, shards=4, workers=2)
-    assert pooled.mis == inline.mis
-    assert pooled.iterations == inline.iterations
-    assert pooled.active_history == inline.active_history
-
-
 def test_more_shards_than_nodes():
     graph = nx.path_graph(5)
     ref = get_algorithm("metivier", engine="bulk")(graph, seed=0)
@@ -106,3 +95,26 @@ def test_unknown_algorithm_and_engine_rejected():
         run_sharded("nope", nx.path_graph(3))
     with pytest.raises(ConfigurationError):
         get_algorithm("metivier", engine="distributed")
+
+
+def test_workers_zero_and_one_run_inline():
+    graph = nx.gnp_random_graph(60, 0.08, seed=5)
+    default = run_sharded("luby-b", graph, seed=5, shards=4)
+    for workers in (0, 1):
+        result = run_sharded("luby-b", graph, seed=5, shards=4, workers=workers)
+        assert result.mis == default.mis
+        assert result.active_history == default.active_history
+        assert result.extra == default.extra
+        assert "workers" not in result.extra
+
+
+@pytest.mark.parametrize("workers", [2, -1, True, None, 1.0])
+def test_workers_other_than_inline_rejected(workers):
+    with pytest.raises(ConfigurationError, match="workers"):
+        run_sharded("metivier", nx.path_graph(6), seed=0, workers=workers)
+
+
+def test_malformed_shard_knob_names_the_variable(monkeypatch):
+    monkeypatch.setenv("REPRO_MPC_SHARDS", "abc")
+    with pytest.raises(ConfigurationError, match="REPRO_MPC_SHARDS"):
+        run_sharded("metivier", nx.path_graph(6), seed=0)

@@ -60,23 +60,6 @@ def test_crash_with_retry_completes_identically():
     assert record["algorithm"] == "metivier-mpc"
 
 
-def test_crash_in_pool_worker_heals_too():
-    """The crash fires inside a real pool worker and still retries clean."""
-    graph = _graph()
-    clean = run_sharded("luby-b", graph, seed=2, shards=4)
-    result = run_sharded(
-        "luby-b",
-        graph,
-        seed=2,
-        shards=4,
-        workers=2,
-        crashes=[ShardCrash(iteration=0, shard=1, attempts=1)],
-        failure_policy=FailurePolicy(on_error="retry"),
-    )
-    assert result.mis == clean.mis
-    assert result.iterations == clean.iterations
-
-
 def test_exhausted_retries_degrade_to_surviving_subgraph():
     graph = _graph()
     session, sink = _session()

@@ -14,7 +14,7 @@ import threading
 
 import pytest
 
-from repro.errors import CommBudgetExceededError
+from repro.errors import CommBudgetExceededError, ConfigurationError
 from repro.mpc.budget import CommBudget
 from repro.mpc.runtime import run_sharded
 from repro.serve import errors as serve_errors
@@ -87,6 +87,13 @@ class TestConfig:
     def test_blank_env_values_fall_back(self):
         config = ServeConfig.from_env({"REPRO_SERVE_QUEUE_LIMIT": "  "})
         assert config.queue_limit == ServeConfig.queue_limit
+
+    @pytest.mark.parametrize(
+        "key", ["REPRO_SERVE_QUEUE_LIMIT", "REPRO_SERVE_DEADLINE"]
+    )
+    def test_malformed_env_value_names_the_variable(self, key):
+        with pytest.raises(ConfigurationError, match=key):
+            ServeConfig.from_env({key: "abc"})
 
 
 class TestCircuitBreaker:
